@@ -686,8 +686,8 @@ func BenchmarkTable9(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBounds toggles the two-side and pivot bounds off —
-// the design-choice ablation DESIGN.md calls out.
+// BenchmarkAblationBounds toggles the two-side and pivot bounds off,
+// measuring what each bound saves.
 func BenchmarkAblationBounds(b *testing.B) {
 	w := getWorld(b, "Xian")
 	variants := []struct {

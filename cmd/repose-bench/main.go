@@ -7,12 +7,11 @@
 //	repose-bench -exp all -csv out/
 //	repose-bench -benchjson BENCH_search.json -baseline BENCH_search.json
 //
-// Each experiment prints the same rows/series the paper reports;
-// EXPERIMENTS.md records how the shapes compare. -benchjson skips the
-// experiments and instead runs the query micro-benchmark suite
-// (engine-level Search/SearchRadius/SearchBatch plus the
-// single-partition trie hot path per measure) on a synthetic dataset,
-// writing ns/op, allocs/op, and QPS as machine-readable JSON;
+// Each experiment prints the same rows/series the paper reports.
+// -benchjson skips the experiments and instead runs the query
+// micro-benchmark suite (engine-level Search/SearchRadius/SearchBatch
+// plus the single-partition trie hot path per measure) on a synthetic
+// dataset, writing ns/op, allocs/op, and QPS as machine-readable JSON;
 // -baseline annotates each result with the speedup over an earlier
 // report.
 package main

@@ -52,6 +52,7 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 	for qi := range done {
 		done[qi] = make([]time.Time, np)
 	}
+	bounds := make([]topk.Bound, nq) // each query's scans share one
 
 	type task struct{ qi, si int }
 	tasks := make(chan task)
@@ -68,7 +69,7 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 				}
 				t0 := time.Now()
 				locals[tk.qi][tk.si], taskErrs[tk.qi][tk.si] =
-					searchOne(ctx, c.gpid(sel[tk.si]), parts[sel[tk.si]], queries[tk.qi], k, opt, nil)
+					searchOne(ctx, c.gpid(sel[tk.si]), parts[sel[tk.si]], queries[tk.qi], k, opt, nil, &bounds[tk.qi])
 				now := time.Now()
 				workDur[tk.qi][tk.si] = now.Sub(t0)
 				done[tk.qi][tk.si] = now

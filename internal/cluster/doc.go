@@ -14,6 +14,16 @@
 // per-query ids and deadlines so the driver can abort straggler
 // workers remotely.
 //
+// One departure from the paper's dataflow: the partition scans of a
+// query that run in one process share a topk.Bound. Each scan
+// publishes its k-th distance once its heap is full and prunes at the
+// smallest one published, so a partition does not prove a local top-k
+// that the merge would discard. The lists stay sufficient for an exact
+// merge, ties included; rptrie's doc.go gives the argument. The bound
+// spans a query's partitions on the local engine (both probe-budget
+// waves included), each query of a batch, and the partitions one
+// worker RPC carries; it does not cross the wire.
+//
 // The paper inherits fault tolerance from Spark's RDD lineage; this
 // engine replicates instead (IndexSpec.Replicas): each partition is
 // built on several distinct workers, queries are routed to one

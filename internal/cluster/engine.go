@@ -229,15 +229,17 @@ func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner,
 
 // searchOne answers one partition-local top-k query honoring ctx and
 // opt; gpid is the partition's global id (for the generation pin).
-// The rptrie layouts cancel mid-scan and fill stats (may be nil); the
-// baseline indexes only observe the context between partitions and
-// report no stats.
-func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats) ([]topk.Item, error) {
+// shared is the k-th distance bound of the query's scatter, which the
+// rptrie layouts prune at and publish to (see rptrie's doc.go). They
+// also cancel mid-scan and fill stats (may be nil); the baseline
+// indexes only observe the context between partitions, answer their
+// full local top-k and report no stats.
+func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats, shared *topk.Bound) ([]topk.Item, error) {
 	ref, err := refinerFor(gpid, idx, opt.Refine)
 	if err != nil {
 		return nil, err
 	}
-	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref}
+	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref, Shared: shared}
 	switch t := idx.(type) {
 	case *rptrie.Trie:
 		return t.SearchContext(ctx, q, k, sopt)

@@ -264,13 +264,19 @@ func (c *Local) scatter(ctx context.Context, parts []LocalIndex, sel []int, what
 // searchLists runs one partition-local top-k scan per sel slot and
 // returns the unmerged result lists plus each slot's exact-distance
 // refinement count — the per-partition cost counter the load tracker
-// learns from and the v6 protocol ships back to the driver.
-func (c *Local) searchLists(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions) ([][]topk.Item, []int64, QueryReport, error) {
+// learns from and the v6 protocol ships back to the driver. The scans
+// share bound, the query's k-th distance bound: each prunes at it and
+// publishes its own k-th distance to it, so together the lists hold
+// every item of the merged top-k, though not every local top-k.
+func (c *Local) searchLists(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions, bound *topk.Bound) ([][]topk.Item, []int64, QueryReport, error) {
 	refined := make([]int64, len(sel))
+	// One stats slot per scan, allocated together: a stack variable
+	// per scan would escape through the durable layout's interface
+	// call, one allocation each.
+	stats := make([]rptrie.SearchStats, len(sel))
 	locals, report, err := c.scatter(ctx, parts, sel, "search", func(si, pi int, idx LocalIndex) ([]topk.Item, error) {
-		var stats rptrie.SearchStats
-		items, err := searchOne(ctx, c.gpid(pi), idx, q, k, opt, &stats)
-		refined[si] = int64(stats.ExactComputations)
+		items, err := searchOne(ctx, c.gpid(pi), idx, q, k, opt, &stats[si], bound)
+		refined[si] = int64(stats[si].ExactComputations)
 		return items, err
 	})
 	return locals, refined, report, err
@@ -306,11 +312,13 @@ func (c *Local) Search(ctx context.Context, q []geo.Point, k int, opt QueryOptio
 // trajectory it holds can displace the merged top-k even on
 // (distance, id) ties — or probed in a second wave. Exact mode is
 // therefore bit-identical to a full scatter; best-effort mode skips
-// the unproven tail outright.
+// the unproven tail outright. Both waves share one k-th distance
+// bound, so the second starts from the first's.
 func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []int, q []geo.Point, k int, opt QueryOptions) ([]topk.Item, QueryReport, error) {
+	var bound topk.Bound
 	budget := opt.ProbeBudget
 	if budget <= 0 || budget >= len(sel) {
-		locals, refined, report, err := c.searchLists(ctx, parts, sel, q, k, opt)
+		locals, refined, report, err := c.searchLists(ctx, parts, sel, q, k, opt, &bound)
 		if err != nil {
 			return nil, report, err
 		}
@@ -320,7 +328,7 @@ func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []in
 	}
 	order := c.loads.order(sel)
 	head, tail := order[:budget], order[budget:]
-	locals, refined, report, err := c.searchLists(ctx, parts, head, q, k, opt)
+	locals, refined, report, err := c.searchLists(ctx, parts, head, q, k, opt, &bound)
 	report.ProbedPartitions = c.gpidsOf(head)
 	if err != nil {
 		return nil, report, err
@@ -358,7 +366,7 @@ func (c *Local) searchBudgeted(ctx context.Context, parts []LocalIndex, sel []in
 	if len(survivors) == 0 {
 		return items, report, nil
 	}
-	locals2, refined2, rep2, err := c.searchLists(ctx, parts, survivors, q, k, opt)
+	locals2, refined2, rep2, err := c.searchLists(ctx, parts, survivors, q, k, opt, &bound)
 	report.ProbedPartitions = append(report.ProbedPartitions, c.gpidsOf(survivors)...)
 	report.absorb(rep2)
 	if err != nil {
@@ -382,7 +390,11 @@ func (c *Local) recordLoads(sel []int, locals [][]topk.Item, refined []int64, ti
 // keeping the first occurrence in (Dist, ID) order preserves the
 // canonical answer.
 func mergeDedup(k int, lists [][]topk.Item) []topk.Item {
-	var all []topk.Item
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	all := make([]topk.Item, 0, n)
 	for _, l := range lists {
 		all = append(all, l...)
 	}

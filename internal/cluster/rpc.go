@@ -682,7 +682,8 @@ func (w *Worker) Search(args *SearchArgs, reply *SearchReply) error {
 	for i := range sel {
 		sel[i] = i
 	}
-	locals, refined, rep, err := view.searchLists(ctx, parts, sel, args.Query, args.K, opt)
+	var bound topk.Bound
+	locals, refined, rep, err := view.searchLists(ctx, parts, sel, args.Query, args.K, opt, &bound)
 	if err != nil {
 		return err
 	}

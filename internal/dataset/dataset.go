@@ -4,8 +4,8 @@
 //
 // The real datasets sit behind registration walls (Didi GAIA) or are
 // tens of GB (OSM); the generators reproduce the properties the
-// experiments exercise — cardinality, length distribution, spatial
-// span, and hot-spot skew — as documented in DESIGN.md.
+// experiments exercise: cardinality, length distribution, spatial
+// span, and hot-spot skew.
 package dataset
 
 import (

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // REPOSE paper's evaluation (Section VII) on synthetic stand-ins for
 // the seven datasets. Each runner returns a Table whose rows mirror
-// what the paper reports; EXPERIMENTS.md records paper-vs-measured
-// shapes.
+// what the paper reports.
 package experiments
 
 import (

@@ -145,7 +145,7 @@ var Runners = map[string]func(Config, []string) (*Table, error){
 
 // ExperimentIDs lists the runnable experiment ids in report order.
 // "batch" and "coverage" are extensions beyond the paper's
-// evaluation; see EXPERIMENTS.md.
+// evaluation.
 var ExperimentIDs = []string{
 	"table4", "fig6", "table5", "table6", "fig7", "fig8", "fig9",
 	"table7", "table8", "table9", "batch", "coverage",

@@ -4,7 +4,7 @@
 // Pivots apply only to metric measures (Hausdorff, Frechet, ERP). The
 // paper's Eq. 5 mixes the triangle-inequality interval with an
 // absolute value that is not a valid lower bound when dqp < HR.max;
-// we use the classical interval form instead (see DESIGN.md):
+// we use the classical interval form instead:
 //
 //	LBp = max_i max(0, dqp[i] − HR[i].Max, HR[i].Min − dqp[i]),
 //

@@ -64,20 +64,60 @@
 //
 // SearchOptions.RefineWorkers fans a fat leaf's exact-distance
 // computations over a worker group. Workers share the current
-// pruning threshold dk through an atomic float64 and serialize
-// result-heap pushes behind a mutex, so a worker may read a *stale*
-// threshold — one that a concurrent push has since tightened. That is
-// admissible: the threshold only ever decreases, so a stale value is
-// only ever too large, and DistanceBounded with a larger cutoff
-// abandons less eagerly — it returns the exact distance for every
-// candidate the fresh threshold would have kept, and for candidates
-// it need not have computed the push simply rejects them. The final
-// top-k set is determined by the exact (distance, id) order alone,
-// which is why the parallel path returns bit-identical results to the
-// sequential one (TestParallelRefineParity). The sequential
-// best-first loop tolerates the same staleness between partitions, so
-// nothing about the argument is new — only the float64-bits atomic
-// that carries it.
+// pruning threshold through an atomic float64 (a topk.Bound) and
+// serialize result-heap pushes behind a mutex, so a worker may read a
+// *stale* threshold — one that a concurrent push has since tightened.
+// That is admissible: the threshold only ever decreases, so a stale
+// value is only ever too large, and DistanceBounded with a larger
+// cutoff abandons less eagerly — it returns the exact distance for
+// every candidate the fresh threshold would have kept, and for
+// candidates it need not have computed the push simply rejects them.
+// The final top-k set is determined by the exact (distance, id) order
+// alone, which is why the parallel path returns bit-identical results
+// to the sequential one (TestParallelRefineParity).
+//
+// # The cross-partition bound
+//
+// The same atomic carries one bound across all the partition scans of
+// a query. The paper's collect step (Section V-C) has every partition
+// prove its own local top-k and leaves the merge to the master; on an
+// 8-way split a local 10th distance is roughly the global 80th, so
+// most of that refinement is thrown away by the merge. Instead, the
+// engine hands every scan of one query the same SearchOptions.Shared.
+// Each scan offers its k-th distance once its heap is full, keeping
+// the minimum, and prunes and early-abandons at the tighter of its own
+// k-th distance and the shared value. Without Shared, a scan runs on a
+// private bound in its scratch, which is the parallel workers'
+// threshold. Three arguments keep the merged answer exact:
+//
+//   - The shared value is an upper bound on the global k-th distance.
+//     A full heap holds k items with distinct ids, so its k-th distance
+//     is at least the k-th distance of the merged, deduplicated answer.
+//     This holds even inside a split's install→prune window, when one
+//     trajectory lives in two partitions: the duplicates are in
+//     different heaps, and each heap alone has k distinct ids.
+//   - It is stored as math.Nextafter(dk, +Inf), the next float above
+//     dk. The existing tests of the form lb ≥ threshold then prune only
+//     entries strictly above dk, and a kernel cut off at it returns the
+//     exact distance of a candidate at exactly dk. A trajectory in
+//     another partition that ties the k-th item at dk survives, and the
+//     merge picks the lower id as the oracle does
+//     (TestCrossPartitionTieSurvivesSharedBound).
+//   - No +Inf enters a heap that is not yet full. A heap that is not
+//     full used to refine with threshold +Inf, so every kernel ran to
+//     completion; now the shared value may cut the kernel off, and the
+//     abandoned candidate comes back as +Inf. So every candidate at or
+//     above the shared value is dropped before the push, full heap or
+//     not. It is farther than some scan's k distinct items and cannot
+//     place in the answer.
+//
+// A scan's list then holds every item of its partition that can place
+// in the merged top-k, not its full local top-k. Together the scans
+// refine no more trajectories than independent scans would
+// (TestSharedBoundCutsRefinement). The engine shares one bound across
+// a query's partitions within one process: both waves of a probe-
+// budget search on the local engine, each query of a batch, and the
+// partitions of one worker RPC. It does not cross the wire.
 //
 // # Online updates: generations, deltas, and compaction
 //

@@ -44,6 +44,15 @@ type SearchOptions struct {
 	// leaf refinement (nil keeps it). A subsequence refiner switches
 	// the traversal to the segment bounds; see Refiner.
 	Refiner Refiner
+
+	// Shared, when non-nil, is the k-th distance bound this scan
+	// shares with concurrent scans of the same query over other
+	// partitions. The scan prunes at the tighter of its own k-th
+	// distance and Shared, and offers its own once its heap is full.
+	// The results then hold every item of this partition that can
+	// place in the merged top-k over all the sharing scans, rather
+	// than the full local top-k; see doc.go.
+	Shared *topk.Bound
 }
 
 // ctxCheckMask throttles context polling: deadlines are checked every
@@ -169,6 +178,7 @@ type searchScratch struct {
 	dqp      []float64
 	items    []topk.Item     // range-walk accumulator
 	wds      []*dist.Scratch // per-worker DP rows for parallel refinement
+	bound    topk.Bound      // the query's own bound when none is shared
 
 	// cmpRefs is the compressed layout's node-ref arena: refs are
 	// interface-boxed into entries, and boxing a pointer into the
@@ -230,14 +240,9 @@ func (t *Trie) SearchAppendContext(ctx context.Context, dst []topk.Item, q []geo
 	}
 	sc := t.pool.get()
 	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-	}
+	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
 	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
+	s.setOptions(ctx, opt)
 	out, stats, err := s.run(ptrNode{st.root}, q, k, dst)
 	if opt.Stats != nil {
 		*opt.Stats = stats
@@ -267,14 +272,9 @@ func (t *Trie) SearchContext(ctx context.Context, q []geo.Point, k int, opt Sear
 	}
 	sc := t.pool.get()
 	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-	}
+	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
 	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
+	s.setOptions(ctx, opt)
 	res, stats, err := s.run(ptrNode{st.root}, q, k, nil)
 	if opt.Stats != nil {
 		*opt.Stats = stats
@@ -305,14 +305,10 @@ func (t *Trie) BoundContext(ctx context.Context, q []geo.Point, opt SearchOption
 	}
 	sc := t.pool.get()
 	defer t.pool.put(sc)
-	s := searcher{
-		cfg: t.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller: ctxPoller{ctx: ctx},
-		noPivots:  opt.NoPivots,
-	}
+	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
 	s.setDelta(st.delta)
-	s.setRefiner(opt.Refiner)
-	return s.bound(ptrNode{st.root}, q)
+	s.setOptions(ctx, opt)
+	return s.lowerBound(ptrNode{st.root}, q)
 }
 
 // LiveIDs returns the ids of every live trajectory, unordered; see
@@ -322,7 +318,7 @@ func (t *Trie) LiveIDs() []int {
 	return liveIDsOf(st.trajs, st.delta)
 }
 
-// bound runs the capped best-first descent behind BoundContext. With
+// lowerBound runs the capped best-first descent behind BoundContext. With
 // an empty result heap the threshold is +Inf, so expand prunes
 // nothing: every subtree is represented in the queue by an entry whose
 // lb lower-bounds all trajectories beneath it. The queue minimum is
@@ -331,7 +327,7 @@ func (t *Trie) LiveIDs() []int {
 // any point (first leaf popped, or budget exhausted) and return the
 // current minimum. Tombstoned members can only make the bound looser,
 // never tighter, so deletions preserve admissibility.
-func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
+func (s *searcher) lowerBound(root searchNode, q []geo.Point) (float64, error) {
 	if len(q) == 0 {
 		return 0, nil
 	}
@@ -347,6 +343,9 @@ func (s *searcher) bound(root searchNode, q []geo.Point) (float64, error) {
 	var stats SearchStats
 	sc := s.sc
 	sc.res.Reset(1)
+	// The walk bounds the whole index: no shared bound may prune it.
+	sc.bound.Reset()
+	s.bound = &sc.bound
 	var dqp []float64
 	if s.cfg.Pivots != nil && !s.cfg.DisableLBp && !s.noPivots && !s.subseq {
 		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, s.cfg.Pivots, s.cfg.Measure, s.cfg.Params, &sc.ds)
@@ -385,15 +384,58 @@ type searcher struct {
 	refiner       Refiner // nil: default whole-trajectory refinement
 	subseq        bool    // refiner scores segments: use LBoSub, no LBt/LBp
 	sc            *searchScratch
+
+	// bound is the k-th distance bound the scan prunes at besides its
+	// own heap: SearchOptions.Shared, or else the scratch's private
+	// one, reset per query (lowerBound always uses the private one).
+	// It never falls below the global k-th distance of the scans that
+	// share it (see doc.go).
+	bound *topk.Bound
 }
 
-// setRefiner attaches a query's refiner. A nil refiner keeps the
-// built-in whole-trajectory refinement on the allocation-free inline
-// path; a subsequence refiner additionally switches every traversal
-// bound to the segment bound.
-func (s *searcher) setRefiner(r Refiner) {
-	s.refiner = r
-	s.subseq = r != nil && r.Subsequence()
+// setOptions applies a query's per-call options and context. A nil
+// refiner keeps the built-in whole-trajectory refinement on the
+// allocation-free inline path; a subsequence refiner additionally
+// switches every traversal bound to the segment bound.
+func (s *searcher) setOptions(ctx context.Context, opt SearchOptions) {
+	s.ctxPoller = ctxPoller{ctx: ctx}
+	s.noPivots = opt.NoPivots
+	s.refineWorkers = opt.RefineWorkers
+	s.refiner = opt.Refiner
+	s.subseq = opt.Refiner != nil && opt.Refiner.Subsequence()
+	s.bound = opt.Shared
+}
+
+// threshold is the scan's pruning threshold: its own k-th distance
+// or the shared bound, whichever is tighter.
+func (s *searcher) threshold(results *topk.Heap) float64 {
+	dk := results.Threshold()
+	if b := s.bound.Load(); b < dk {
+		return b
+	}
+	return dk
+}
+
+// pushCandidate offers one refined candidate to a scan's heap and,
+// once the heap is full, offers the heap's k-th distance to the
+// bound. A candidate the bound excludes is dropped even while the
+// heap is not full: a kernel cut off at the bound may have returned
+// +Inf for it, and it cannot place in the merged answer anyway.
+// Refined items go through PushItem, which also rejects the +Inf of
+// an ineligible candidate.
+func pushCandidate(results *topk.Heap, bound *topk.Bound, refined bool, it topk.Item) {
+	if bound.Excludes(it.Dist) {
+		return
+	}
+	var kept bool
+	if refined {
+		kept = results.PushItem(it)
+	} else {
+		kept = results.Push(it.ID, it.Dist)
+	}
+	if kept {
+		bound.Offer(results)
+	}
 }
 
 // setDelta attaches a snapshot's overlay. Empty components stay nil so
@@ -424,6 +466,10 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 	sc := s.sc
 	sc.res.Reset(k)
 	results := &sc.res
+	if s.bound == nil {
+		sc.bound.Reset()
+		s.bound = &sc.bound
+	}
 
 	// Pending inserts are not covered by any trie bound: answer them
 	// with an exact linear scan first, so the threshold they establish
@@ -450,7 +496,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 			return dst, stats, s.err()
 		}
 		e := pq.pop()
-		dk := results.Threshold()
+		dk := s.threshold(results)
 		if e.lb >= dk {
 			// Every queued entry has lb ≥ e.lb ≥ dk, and lb
 			// lower-bounds the distance of every trajectory beneath
@@ -476,7 +522,7 @@ func (s *searcher) run(root searchNode, q []geo.Point, k int, dst []topk.Item) (
 // released back to the arena.
 func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, results *topk.Heap, dqp []float64, stats *SearchStats) {
 	sc := s.sc
-	dk := results.Threshold()
+	dk := s.threshold(results)
 	lbp := n.pivotLB(dqp)
 
 	if lv, ok := n.leafView(); ok {
@@ -525,7 +571,7 @@ func (s *searcher) expand(n searchNode, b *dist.PathBounder, pq *entryQueue, res
 			}
 			lb = math.Max(cb.LBo(ce.n.meta()), clbp)
 		}
-		if lb < results.Threshold() {
+		if lb < s.threshold(results) {
 			pq.push(entry{lb: lb, n: ce.n, b: cb})
 			stats.EntriesPushed++
 			owned = owned || last
@@ -547,21 +593,26 @@ func (s *searcher) scanDelta(q []geo.Point, results *topk.Heap, stats *SearchSta
 			return s.err()
 		}
 		stats.ExactComputations++
-		if s.refiner != nil {
-			d, start, end := s.refiner.Refine(q, tr, results.Threshold(), &s.sc.ds)
-			results.PushItem(topk.Item{ID: tr.ID, Dist: d, Start: start, End: end})
-			continue
-		}
-		d := dist.DistanceBoundedScratch(s.cfg.Measure, q, tr.Points, s.cfg.Params, results.Threshold(), &s.sc.ds)
-		results.Push(tr.ID, d)
+		pushCandidate(results, s.bound, s.refiner != nil, s.refineOne(q, tr.ID, tr, s.threshold(results)))
 	}
 	return nil
 }
 
+// refineOne scores candidate tr, reported as id, cut off at
+// threshold, through the query's refiner or the built-in exact kernel.
+func (s *searcher) refineOne(q []geo.Point, id int, tr *geo.Trajectory, threshold float64) topk.Item {
+	if s.refiner != nil {
+		d, start, end := s.refiner.Refine(q, tr, threshold, &s.sc.ds)
+		return topk.Item{ID: id, Dist: d, Start: start, End: end}
+	}
+	return topk.Item{ID: id, Dist: dist.DistanceBoundedScratch(s.cfg.Measure, q, tr.Points, s.cfg.Params, threshold, &s.sc.ds)}
+}
+
 // refine computes exact distances for a leaf's members, with
-// early-abandoning kernels cut off at the current threshold. While
-// the result heap is not yet full the threshold is +Inf, so no
-// abandoned (+Inf) value can ever be retained.
+// early-abandoning kernels cut off at the current threshold. Until
+// the result heap is full that threshold is the bound alone, and
+// pushCandidate drops what the bound excludes, so no abandoned (+Inf)
+// value is ever retained.
 func (s *searcher) refine(lv leafView, q []geo.Point, results *topk.Heap, stats *SearchStats) error {
 	if s.refineWorkers > 1 && len(lv.tids) >= minParallelLeaf {
 		return s.refineParallel(lv, q, results, stats)
@@ -575,15 +626,8 @@ func (s *searcher) refine(lv leafView, q []geo.Point, results *topk.Heap, stats 
 		if s.cancelled() {
 			return s.err()
 		}
-		tr := s.trajs[tid]
 		stats.ExactComputations++
-		if s.refiner != nil {
-			d, start, end := s.refiner.Refine(q, tr, results.Threshold(), &s.sc.ds)
-			results.PushItem(topk.Item{ID: int(tid), Dist: d, Start: start, End: end})
-			continue
-		}
-		d := dist.DistanceBoundedScratch(s.cfg.Measure, q, tr.Points, s.cfg.Params, results.Threshold(), &s.sc.ds)
-		results.Push(int(tid), d)
+		pushCandidate(results, s.bound, s.refiner != nil, s.refineOne(q, int(tid), s.trajs[tid], s.threshold(results)))
 	}
 	return nil
 }
@@ -608,6 +652,7 @@ func (s *searcher) refineParallel(lv leafView, q []geo.Point, results *topk.Heap
 		tids:    lv.tids,
 		q:       q,
 		results: results,
+		bound:   s.bound,
 		wds:     sc.wds[:nw],
 	})
 	stats.ExactComputations += computed
@@ -625,22 +670,22 @@ type parallelRefine struct {
 	tids    []int32
 	q       []geo.Point
 	results *topk.Heap
+	bound   *topk.Bound
 	wds     []*dist.Scratch
 }
 
 // refineLeafParallel refines one leaf over parallelFor workers.
-// Workers read the shared pruning threshold from an atomic float64
-// (stale reads are only ever too large, which keeps the early-abandon
-// admissible — see doc.go) and serialize heap pushes behind a mutex.
-// It returns the number of exact computations performed and the
-// context error, if any.
+// Workers cut their kernels off at the scan's bound, which holds the
+// heap's own k-th distance once the heap is full (stale reads are
+// only ever too large, which keeps the early-abandon admissible — see
+// doc.go), and serialize heap pushes behind a mutex. It returns the
+// number of exact computations performed and the context error, if
+// any.
 func refineLeafParallel(pr parallelRefine) (int, error) {
 	var (
 		computed atomic.Int64
-		thr      atomicFloat64
 		mu       sync.Mutex
 	)
-	thr.Store(pr.results.Threshold())
 	err := parallelFor(pr.ctx, pr.wds, len(pr.tids), func(i int, ws *dist.Scratch) {
 		tid := pr.tids[i]
 		if pr.dels != nil {
@@ -651,20 +696,15 @@ func refineLeafParallel(pr parallelRefine) (int, error) {
 		tr := pr.trajs[tid]
 		var it topk.Item
 		if pr.refiner != nil {
-			d, start, end := pr.refiner.Refine(pr.q, tr, thr.Load(), ws)
+			d, start, end := pr.refiner.Refine(pr.q, tr, pr.bound.Load(), ws)
 			it = topk.Item{ID: int(tid), Dist: d, Start: start, End: end}
 		} else {
-			d := dist.DistanceBoundedScratch(pr.measure, pr.q, tr.Points, pr.params, thr.Load(), ws)
+			d := dist.DistanceBoundedScratch(pr.measure, pr.q, tr.Points, pr.params, pr.bound.Load(), ws)
 			it = topk.Item{ID: int(tid), Dist: d}
 		}
 		computed.Add(1)
 		mu.Lock()
-		if pr.refiner != nil {
-			pr.results.PushItem(it)
-		} else {
-			pr.results.Push(it.ID, it.Dist)
-		}
-		thr.Store(pr.results.Threshold())
+		pushCandidate(pr.results, pr.bound, pr.refiner != nil, it)
 		mu.Unlock()
 	})
 	return int(computed.Load()), err
@@ -722,13 +762,6 @@ func clampWorkers(n, members int) int {
 	}
 	return n
 }
-
-// atomicFloat64 is a float64 stored as atomic bits — the shared
-// pruning threshold of the refinement workers.
-type atomicFloat64 struct{ bits atomic.Uint64 }
-
-func (a *atomicFloat64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
-func (a *atomicFloat64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 
 // entry is one element of the best-first priority queue: either an
 // internal node with its bound state, or a leaf awaiting refinement.

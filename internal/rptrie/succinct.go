@@ -23,13 +23,12 @@ import (
 // order; the sparse lower levels are serialized as byte sequences and
 // decoded lazily during traversal.
 //
-// Two pragmatic deviations from the paper's sketch, both documented
-// in DESIGN.md: the bitmap alphabet is the set of distinct z-values
-// that occur in the dense levels rather than all grid cells (the
-// grids in the experiments have up to 2^18 cells, which would dwarf
-// the trie itself), and HR ranges are stored as directed-rounded
-// float32 pairs (min down, max up) to halve their footprint without
-// compromising bound soundness.
+// Two pragmatic deviations from the paper's sketch: the bitmap
+// alphabet is the set of distinct z-values that occur in the dense
+// levels rather than all grid cells (the grids in the experiments
+// have up to 2^18 cells, which would dwarf the trie itself), and HR
+// ranges are stored as directed-rounded float32 pairs (min down, max
+// up) to halve their footprint without compromising bound soundness.
 //
 // Like Trie, a Succinct is a stable handle over an atomically swapped
 // immutable state, so Insert/Delete/Upsert/Compact are snapshot-
@@ -367,14 +366,9 @@ func (s *Succinct) SearchContext(ctx context.Context, q []geo.Point, k int, opt 
 	}
 	sc := s.pool.get()
 	defer s.pool.put(sc)
-	sr := searcher{
-		cfg: s.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-	}
+	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
+	sr.setOptions(ctx, opt)
 	res, stats, err := sr.run(st.core.rootRef(), q, k, nil)
 	if opt.Stats != nil {
 		*opt.Stats = stats
@@ -391,14 +385,10 @@ func (s *Succinct) BoundContext(ctx context.Context, q []geo.Point, opt SearchOp
 	}
 	sc := s.pool.get()
 	defer s.pool.put(sc)
-	sr := searcher{
-		cfg: s.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller: ctxPoller{ctx: ctx},
-		noPivots:  opt.NoPivots,
-	}
+	sr := searcher{cfg: s.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
-	return sr.bound(st.core.rootRef(), q)
+	sr.setOptions(ctx, opt)
+	return sr.lowerBound(st.core.rootRef(), q)
 }
 
 // LiveIDs returns the ids of every live trajectory, unordered; see

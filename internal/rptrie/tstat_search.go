@@ -134,14 +134,9 @@ func (x *Compressed) SearchContext(ctx context.Context, q []geo.Point, k int, op
 	}
 	sc := x.pool.get()
 	defer x.pool.put(sc)
-	sr := searcher{
-		cfg: x.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller:     ctxPoller{ctx: ctx},
-		noPivots:      opt.NoPivots,
-		refineWorkers: opt.RefineWorkers,
-	}
+	sr := searcher{cfg: x.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
+	sr.setOptions(ctx, opt)
 	res, stats, err := sr.run(st.core.rootRef(sc), q, k, nil)
 	if opt.Stats != nil {
 		*opt.Stats = stats
@@ -158,14 +153,10 @@ func (x *Compressed) BoundContext(ctx context.Context, q []geo.Point, opt Search
 	}
 	sc := x.pool.get()
 	defer x.pool.put(sc)
-	sr := searcher{
-		cfg: x.cfg, trajs: st.trajs, sc: sc,
-		ctxPoller: ctxPoller{ctx: ctx},
-		noPivots:  opt.NoPivots,
-	}
+	sr := searcher{cfg: x.cfg, trajs: st.trajs, sc: sc}
 	sr.setDelta(st.delta)
-	sr.setRefiner(opt.Refiner)
-	return sr.bound(st.core.rootRef(sc), q)
+	sr.setOptions(ctx, opt)
+	return sr.lowerBound(st.core.rootRef(sc), q)
 }
 
 // LiveIDs returns the ids of every live trajectory, unordered; see

@@ -722,6 +722,41 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: a /search or /radius body over maxBodyBytes is
+// refused with 413 before the engine sees it; one just under the cap
+// still decodes.
+func TestRequestBodyCap(t *testing.T) {
+	be := newFakeBackend()
+	_, ts := newTestServer(t, be, bareConfig())
+	body := func(n int, tail string) []byte {
+		var b bytes.Buffer
+		b.WriteString(`{"points":[[1,2]`)
+		for b.Len() < n-len(tail)-len(`,[1,2]`) {
+			b.WriteString(`,[1,2]`)
+		}
+		b.WriteString(tail)
+		return b.Bytes()
+	}
+	for _, path := range []string{"/search", "/radius"} {
+		for _, tc := range []struct {
+			size int
+			want int
+		}{
+			{maxBodyBytes + 1024, http.StatusRequestEntityTooLarge},
+			{maxBodyBytes - 64, http.StatusOK},
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body(tc.size, `],"k":3,"radius":1}`)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with a %d-byte body: %d, want %d", path, tc.size, resp.StatusCode, tc.want)
+			}
+		}
+	}
+}
+
 // TestMetricsEndpoint sanity-checks the /metrics document shape.
 func TestMetricsEndpoint(t *testing.T) {
 	be := newFakeBackend()

@@ -3,6 +3,7 @@ package topk
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 )
 
 // Item is one candidate result. Start and End are meaningful only for
@@ -184,4 +185,54 @@ func Merge(k int, lists ...[]Item) []Item {
 		}
 	}
 	return h.Results()
+}
+
+// infBits is the bit pattern of +Inf. Bound stores its value XOR
+// infBits so that the zero Bound holds +Inf.
+var infBits = math.Float64bits(math.Inf(1))
+
+// Bound is an atomic upper bound on a query's k-th distance, shared by
+// the concurrent scans that answer the query: the scans of its
+// partitions, or the refinement workers of one leaf. It only ever
+// decreases until Reset. The zero value holds +Inf (no bound yet).
+type Bound struct{ bits atomic.Uint64 }
+
+// Load returns the current bound.
+func (b *Bound) Load() float64 { return math.Float64frombits(b.bits.Load() ^ infBits) }
+
+// Reset returns b to +Inf.
+func (b *Bound) Reset() { b.bits.Store(0) }
+
+// lower sets b to v if v is smaller than the current bound.
+func (b *Bound) lower(v float64) {
+	for {
+		old := b.bits.Load()
+		if !(v < math.Float64frombits(old^infBits)) {
+			return
+		}
+		if b.bits.CompareAndSwap(old, math.Float64bits(v)^infBits) {
+			return
+		}
+	}
+}
+
+// Offer publishes h's k-th distance once h is full. It stores the next
+// float above it, so that pruning tests of the form lb ≥ bound discard
+// only candidates strictly farther than h's k-th item: one that ties
+// it may still win on id and must survive.
+func (b *Bound) Offer(h *Heap) {
+	if len(h.items) < h.k {
+		return
+	}
+	b.lower(math.Nextafter(h.items[0].Dist, math.Inf(1)))
+}
+
+// Excludes reports whether a candidate at distance d lies at or above
+// a published bound, so it cannot enter the merged top-k: the bound
+// sits just above some scan's k-th distance, so that scan's k items,
+// whose ids are distinct, are all strictly closer than d. It is false
+// while nothing is published.
+func (b *Bound) Excludes(d float64) bool {
+	v := b.Load()
+	return d >= v && !math.IsInf(v, 1)
 }

@@ -193,3 +193,42 @@ func TestResultsDoesNotMutate(t *testing.T) {
 		t.Error("threshold should still be +Inf with 2 of 3 items")
 	}
 }
+
+// TestBound pins the shared bound's contract: +Inf until a full heap
+// is offered, then just above that heap's k-th distance, so a tie at
+// the k-th distance is not excluded; and it only ever decreases until
+// Reset.
+func TestBound(t *testing.T) {
+	var b Bound
+	if !math.IsInf(b.Load(), 1) || b.Excludes(math.Inf(1)) {
+		t.Fatal("zero bound must read +Inf and exclude nothing")
+	}
+	h := New(2)
+	h.Push(1, 3)
+	b.Offer(h)
+	if !math.IsInf(b.Load(), 1) {
+		t.Fatalf("a heap short of k items must not publish: %v", b.Load())
+	}
+	h.Push(2, 5)
+	b.Offer(h)
+	if want := math.Nextafter(5, math.Inf(1)); b.Load() != want {
+		t.Fatalf("bound %v, want %v", b.Load(), want)
+	}
+	if b.Excludes(5) || !b.Excludes(math.Nextafter(5, math.Inf(1))) || !b.Excludes(math.Inf(1)) {
+		t.Error("the bound must admit the tie at 5 and exclude everything above it")
+	}
+	h.Push(3, 7)
+	b.Offer(h)
+	if b.Load() > 5.5 {
+		t.Errorf("offering a heap whose k-th distance did not fall raised the bound to %v", b.Load())
+	}
+	h.Push(4, 1)
+	b.Offer(h)
+	if want := math.Nextafter(3, math.Inf(1)); b.Load() != want {
+		t.Errorf("bound %v after the k-th distance fell to 3, want %v", b.Load(), want)
+	}
+	b.Reset()
+	if !math.IsInf(b.Load(), 1) {
+		t.Errorf("Reset left %v", b.Load())
+	}
+}
