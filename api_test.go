@@ -101,18 +101,6 @@ func TestLocalRemoteParity(t *testing.T) {
 	if lrep.Makespan <= 0 || rrep.Makespan <= 0 {
 		t.Errorf("batch reports: %+v, %+v", lrep, rrep)
 	}
-
-	// Remote succinct indexes surface the same typed radius error as
-	// local ones.
-	sucOpts := Options{Partitions: 4, Succinct: true}
-	sucRemote, err := BuildRemote(ds, sucOpts, startTestWorkers(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sucRemote.Close()
-	if _, err := sucRemote.SearchRadius(ctx, ds[0], 1); !errors.Is(err, ErrSuccinctUnsupported) {
-		t.Errorf("remote succinct radius: %v", err)
-	}
 }
 
 // TestCancellationBothBackends: a context whose deadline has passed

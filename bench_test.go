@@ -250,8 +250,7 @@ func BenchmarkSearch(b *testing.B) {
 	})
 	// The trit-array layout on the same queries: the cmpRef arena and
 	// pooled scratch keep the delta-empty path at 0 allocs/op too
-	// (asserted in CI next to /trie), and ns/op here against a
-	// Compress()d succinct baseline is the ~1.3× headline bound.
+	// (asserted in CI next to /trie).
 	b.Run("compressed", func(b *testing.B) {
 		cmp, err := rptrie.CompressTST(benchTrie(b, w, "T-drive", dist.Hausdorff))
 		if err != nil {
@@ -266,26 +265,6 @@ func BenchmarkSearch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := w.queries[i%len(w.queries)]
 			out = cmp.SearchAppend(out[:0], q.Points, benchK)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty result")
-		}
-	})
-	// The two-tier bitmap layout, for the latency comparison.
-	b.Run("succinct", func(b *testing.B) {
-		suc, err := rptrie.Compress(benchTrie(b, w, "T-drive", dist.Hausdorff))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var out []repose.Result
-		for _, q := range w.queries { // warm the pooled scratch
-			out = suc.SearchAppend(out[:0], q.Points, benchK)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := w.queries[i%len(w.queries)]
-			out = suc.SearchAppend(out[:0], q.Points, benchK)
 		}
 		if len(out) == 0 {
 			b.Fatal("empty result")
@@ -712,12 +691,12 @@ func BenchmarkAblationBounds(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLayout compares the pointer, succinct, and
-// compressed (tSTAT) trie layouts on the same queries; index_MB shows
-// each layout's footprint next to its latency.
+// BenchmarkAblationLayout compares the pointer and compressed (tSTAT)
+// trie layouts on the same queries; index_MB shows each layout's
+// footprint next to its latency.
 func BenchmarkAblationLayout(b *testing.B) {
 	w := getWorld(b, "T-drive")
-	for _, layout := range []rptrie.Layout{rptrie.LayoutPointer, rptrie.LayoutSuccinct, rptrie.LayoutCompressed} {
+	for _, layout := range []rptrie.Layout{rptrie.LayoutPointer, rptrie.LayoutCompressed} {
 		b.Run(layout.String(), func(b *testing.B) {
 			eng := w.engine(b, "T-drive", engineOpts{
 				algo: cluster.REPOSE, measure: dist.Hausdorff,

@@ -49,14 +49,12 @@ type memLayout struct {
 }
 
 type memRatios struct {
-	IndexSuccinctOverCompressed  float64 `json:"index_succinct_over_compressed"`
-	ImageSuccinctOverCompressed  float64 `json:"image_succinct_over_compressed"`
-	IndexPointerOverCompressed   float64 `json:"index_pointer_over_compressed"`
-	ImagePointerOverCompressed   float64 `json:"image_pointer_over_compressed"`
-	SearchCompressedOverSuccinct float64 `json:"search_compressed_over_succinct"`
+	IndexPointerOverCompressed  float64 `json:"index_pointer_over_compressed"`
+	ImagePointerOverCompressed  float64 `json:"image_pointer_over_compressed"`
+	SearchCompressedOverPointer float64 `json:"search_compressed_over_pointer"`
 }
 
-// runBenchMemory builds the same partition under all three layouts and
+// runBenchMemory builds the same partition under both layouts and
 // records index bytes, snapshot image bytes, and top-k search latency
 // (BENCH_memory.json). Every layout's results are checked query by
 // query against the pointer layout: the memory savings come at zero
@@ -93,10 +91,6 @@ func runBenchMemory(outPath, dsName string, scale, delta float64, k int) error {
 	if err != nil {
 		return err
 	}
-	suc, err := rptrie.Compress(trie)
-	if err != nil {
-		return err
-	}
 	cmp, err := rptrie.CompressTST(trie)
 	if err != nil {
 		return err
@@ -126,7 +120,6 @@ func runBenchMemory(outPath, dsName string, scale, delta float64, k int) error {
 	}
 	cases := []layoutCase{
 		{"pointer", trie.SizeBytes, trie.Save, trie.SearchAppend},
-		{"succinct", suc.SizeBytes, suc.Save, suc.SearchAppend},
 		{"compressed", cmp.SizeBytes, cmp.Save, cmp.SearchAppend},
 	}
 
@@ -177,17 +170,15 @@ func runBenchMemory(outPath, dsName string, scale, delta float64, k int) error {
 			c.name, l.IndexBytes, l.ImageBytes, l.SearchNsPerOp, l.SearchAllocsPerOp, identical)
 	}
 
-	p, s, c := byName["pointer"], byName["succinct"], byName["compressed"]
+	p, c := byName["pointer"], byName["compressed"]
 	report.Ratios = memRatios{
-		IndexSuccinctOverCompressed:  ratio(s.IndexBytes, c.IndexBytes),
-		ImageSuccinctOverCompressed:  ratio(s.ImageBytes, c.ImageBytes),
-		IndexPointerOverCompressed:   ratio(p.IndexBytes, c.IndexBytes),
-		ImagePointerOverCompressed:   ratio(p.ImageBytes, c.ImageBytes),
-		SearchCompressedOverSuccinct: c.SearchNsPerOp / s.SearchNsPerOp,
+		IndexPointerOverCompressed:  ratio(p.IndexBytes, c.IndexBytes),
+		ImagePointerOverCompressed:  ratio(p.ImageBytes, c.ImageBytes),
+		SearchCompressedOverPointer: c.SearchNsPerOp / p.SearchNsPerOp,
 	}
-	fmt.Fprintf(os.Stderr, "index succinct/compressed = %.2fx  image succinct/compressed = %.2fx  search compressed/succinct = %.2fx\n",
-		report.Ratios.IndexSuccinctOverCompressed, report.Ratios.ImageSuccinctOverCompressed,
-		report.Ratios.SearchCompressedOverSuccinct)
+	fmt.Fprintf(os.Stderr, "index pointer/compressed = %.2fx  image pointer/compressed = %.2fx  search compressed/pointer = %.2fx\n",
+		report.Ratios.IndexPointerOverCompressed, report.Ratios.ImagePointerOverCompressed,
+		report.Ratios.SearchCompressedOverPointer)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {

@@ -88,7 +88,6 @@ func runBenchStorage(outPath, dsName string, scale float64, k int) error {
 		layout rptrie.Layout
 	}{
 		{"trie", rptrie.LayoutPointer},
-		{"succinct", rptrie.LayoutSuccinct},
 		{"compressed", rptrie.LayoutCompressed},
 	} {
 		opts := rptrie.DurableOptions{Layout: layout.layout, NoCheckpointOnCompact: true}
@@ -138,51 +137,21 @@ func runBenchStorage(outPath, dsName string, scale float64, k int) error {
 		record("coldstart/rebuild/"+layout.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				t, err := rptrie.Build(cfg, ds)
+				idx, err := rptrie.BuildLayout(cfg, ds, layout.layout)
 				if err != nil {
 					b.Fatal(err)
 				}
-				switch layout.layout {
-				case rptrie.LayoutSuccinct:
-					s, err := rptrie.Compress(t)
-					if err != nil {
-						b.Fatal(err)
-					}
-					s.Search(queries[0].Points, k)
-				case rptrie.LayoutCompressed:
-					c, err := rptrie.CompressTST(t)
-					if err != nil {
-						b.Fatal(err)
-					}
-					c.Search(queries[0].Points, k)
-				default:
-					t.Search(queries[0].Points, k)
-				}
+				idx.Search(queries[0].Points, k)
 			}
 		})
 		record("coldstart/restore/"+layout.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				switch layout.layout {
-				case rptrie.LayoutSuccinct:
-					s, err := rptrie.ReadSuccinct(bytes.NewReader(image.Bytes()))
-					if err != nil {
-						b.Fatal(err)
-					}
-					s.Search(queries[0].Points, k)
-				case rptrie.LayoutCompressed:
-					c, err := rptrie.ReadCompressed(bytes.NewReader(image.Bytes()))
-					if err != nil {
-						b.Fatal(err)
-					}
-					c.Search(queries[0].Points, k)
-				default:
-					t, err := rptrie.ReadTrie(bytes.NewReader(image.Bytes()))
-					if err != nil {
-						b.Fatal(err)
-					}
-					t.Search(queries[0].Points, k)
+				idx, err := rptrie.Read(layout.layout, bytes.NewReader(image.Bytes()))
+				if err != nil {
+					b.Fatal(err)
 				}
+				idx.Search(queries[0].Points, k)
 			}
 		})
 	}

@@ -43,7 +43,7 @@ func main() {
 		replication = flag.Int("replication", 0, "remote replication factor: place each partition on this many workers and fail over between them (0/1 = off)")
 		timeout     = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		excludeSelf = flag.Bool("exclude-self", false, "drop the query trajectory from results")
-		layoutName  = flag.String("layout", "", "per-partition index layout: pointer|succinct|compressed (empty = pointer)")
+		layoutName  = flag.String("layout", "", "per-partition index layout: pointer|compressed (empty = pointer)")
 		probeBudget = flag.Int("probe-budget", 0, "score-guided probing: scan this many best-scoring partitions first and prune the rest when an admissible bound proves they cannot contribute; results are identical (0 = full scatter)")
 		bestEffort  = flag.Bool("best-effort", false, "with -probe-budget, skip the unproven tail instead of bound-checking it (answers may be incomplete)")
 		sub         = flag.Bool("sub", false, "subtrajectory search: score each candidate by its best-matching contiguous segment and report the matched sample range")

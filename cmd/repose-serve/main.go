@@ -51,7 +51,7 @@ func main() {
 		partitions  = flag.Int("partitions", 0, "partitions (0 = one per core)")
 		workers     = flag.String("workers", "", "comma-separated worker addresses (empty = in-process)")
 		replication = flag.Int("replication", 0, "remote replication factor (0/1 = off)")
-		layoutName  = flag.String("layout", "", "per-partition index layout: pointer|succinct|compressed (empty = pointer)")
+		layoutName  = flag.String("layout", "", "per-partition index layout: pointer|compressed (empty = pointer)")
 
 		maxConcurrent = flag.Int("max-concurrent", 0, "executing-query bound (0 = 2×NumCPU)")
 		maxQueue      = flag.Int("max-queue", 0, "admission queue depth (0 = 4×max-concurrent)")

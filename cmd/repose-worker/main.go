@@ -38,7 +38,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7701", "listen address (host:port, :0 for ephemeral)")
 	rejoin := flag.Bool("rejoin", false, "rejoin a replicated cluster as the replacement for a dead worker: start empty and await a state restore from the driver")
 	dataDir := flag.String("data-dir", "", "directory for durable partition stores; a restart on the same directory recovers them from their write-ahead logs")
-	layout := flag.String("layout", "", "force every partition this worker builds to this index layout (pointer|succinct|compressed), overriding the driver; answers are identical across layouts")
+	layout := flag.String("layout", "", "force every partition this worker builds to this index layout (pointer|compressed), overriding the driver; answers are identical across layouts")
 	queryWorkers := flag.Int("query-workers", 0, "cap this worker's total concurrent partition scans across all in-flight queries (0 = GOMAXPROCS per query)")
 	flag.Parse()
 

@@ -27,13 +27,12 @@ var (
 	ErrBadRadius = errors.New("repose: negative radius")
 	// ErrClosed rejects queries on a closed Index.
 	ErrClosed = errors.New("repose: index closed")
-	// ErrSuccinctUnsupported rejects SearchRadius on indexes built
-	// with LayoutSuccinct: that layout shares the top-k search
-	// machinery but has no range-walk implementation (LayoutCompressed
-	// does, as does LayoutPointer). Online updates
-	// (Insert/Delete/Upsert/CompactNow) are fully supported on
-	// succinct indexes.
-	ErrSuccinctUnsupported = errors.New("repose: radius search is not supported on succinct indexes")
+	// ErrUnknownLayout rejects a build whose Options.Layout is neither
+	// LayoutPointer nor LayoutCompressed — including the retired
+	// succinct layout's value 1 — and a layout name ParseLayout does
+	// not know. Match with errors.Is; a remote worker's refusal
+	// arrives as its message only.
+	ErrUnknownLayout = rptrie.ErrUnknownLayout
 	// ErrEmptyTrajectory rejects inserting a nil trajectory or one
 	// without points.
 	ErrEmptyTrajectory = errors.New("repose: empty trajectory")

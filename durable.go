@@ -1,6 +1,7 @@
 package repose
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -68,16 +69,40 @@ func writeManifest(dir string, m durableManifest) error {
 	return nil
 }
 
-// readManifest loads a directory's manifest.
+// succinctManifest is the part of a manifest that records the
+// retired succinct layout: Layout value 1, or the Succinct flag that
+// Options and the engine spec carried before it was retired. gob
+// needs a distinct type for each of the two fields.
+type succinctManifest struct {
+	Opts succinctOpts
+	Spec succinctSpec
+}
+
+type succinctOpts struct {
+	Layout   Layout
+	Succinct bool
+}
+
+type succinctSpec succinctOpts
+
+// readManifest loads a directory's manifest. A manifest of the retired
+// succinct layout reads as LayoutCompressed, the layout its partitions
+// recover in.
 func readManifest(dir string) (durableManifest, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return durableManifest{}, fmt.Errorf("repose: not a durable index directory: %w", err)
 	}
-	defer f.Close()
 	var m durableManifest
-	if err := gob.NewDecoder(f).Decode(&m); err != nil {
+	var old succinctManifest
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&m); err != nil {
 		return durableManifest{}, fmt.Errorf("repose: durable manifest unreadable: %w", err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&old); err != nil {
+		return durableManifest{}, fmt.Errorf("repose: durable manifest unreadable: %w", err)
+	}
+	if old.Opts.Succinct || old.Spec.Succinct || old.Opts.Layout == 1 || old.Spec.Layout == 1 {
+		m.Opts.Layout, m.Spec.Layout = LayoutCompressed, LayoutCompressed
 	}
 	return m, nil
 }

@@ -1,14 +1,9 @@
 // Package bits provides a bitset with constant-time rank and
-// sample-accelerated select, the substrate for the succinct RP-Trie
-// layouts (Section III-B, "Succinct trie structure", after SuRF, and
-// the tSTAT trit-array layout after Kanda & Fujii).
+// sample-accelerated select, the substrate for the compressed
+// trit-array RP-Trie layout (after Kanda & Fujii's tSTAT).
 package bits
 
-import (
-	"encoding/binary"
-	"errors"
-	"math/bits"
-)
+import "math/bits"
 
 const (
 	wordBits = 64
@@ -30,11 +25,8 @@ const (
 )
 
 // Set is an append-only bitset with a two-level rank directory and
-// sampled select. Bits are appended with PushBit/PushWord; Rank and
-// Select become available after Seal. The directories are derived
-// (never serialized): MarshalBinary emits only the bit count and the
-// packed words, and UnmarshalBinary re-seals, so the wire format is
-// stable across directory layout changes.
+// sampled select. Bits are appended with PushBit/PushN; Rank and
+// Select become available after Seal.
 type Set struct {
 	words []uint64
 	n     int // number of valid bits
@@ -89,17 +81,6 @@ func (s *Set) Get(i int) bool {
 		panic("bits: index out of range")
 	}
 	return s.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
-}
-
-// SetBit sets bit i to 1. Valid only before Seal.
-func (s *Set) SetBit(i int) {
-	if s.sealed {
-		panic("bits: SetBit after Seal")
-	}
-	if i < 0 || i >= s.n {
-		panic("bits: index out of range")
-	}
-	s.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
 // Seal builds the rank directory and select samples. After Seal the
@@ -239,42 +220,4 @@ func selectInWord(w uint64, j int) int {
 func (s *Set) SizeBytes() int {
 	return len(s.words)*8 + len(s.super)*8 + len(s.blockOff)*2 +
 		len(s.selectSamples)*4 + 96
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler (used by gob for
-// index persistence): a little-endian uint64 bit count followed by the
-// packed words. The rank directory and select samples are derivable
-// and not serialized, so the encoding is identical across directory
-// layout revisions.
-func (s *Set) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 8+len(s.words)*8)
-	binary.LittleEndian.PutUint64(out, uint64(s.n))
-	for i, w := range s.words {
-		binary.LittleEndian.PutUint64(out[8+i*8:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The restored
-// set is sealed: rank/select are immediately available.
-func (s *Set) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 || (len(data)-8)%8 != 0 {
-		return errors.New("bits: truncated bitset encoding")
-	}
-	n := binary.LittleEndian.Uint64(data)
-	words := (len(data) - 8) / 8
-	if n > uint64(words)*wordBits || (words > 0 && n <= uint64(words-1)*wordBits) {
-		return errors.New("bits: bit count inconsistent with word count")
-	}
-	*s = Set{words: make([]uint64, words), n: int(n)}
-	for i := range s.words {
-		s.words[i] = binary.LittleEndian.Uint64(data[8+i*8:])
-	}
-	if tail := s.n % wordBits; tail != 0 {
-		if s.words[words-1]&^(1<<uint(tail)-1) != 0 {
-			return errors.New("bits: set bits beyond the bit count")
-		}
-	}
-	s.Seal()
-	return nil
 }

@@ -103,19 +103,6 @@ func TestPushN(t *testing.T) {
 	}
 }
 
-func TestSetBit(t *testing.T) {
-	s := NewSet(0)
-	s.PushN(false, 10)
-	s.SetBit(7)
-	s.Seal()
-	if !s.Get(7) || s.Get(6) {
-		t.Error("SetBit pattern wrong")
-	}
-	if s.Rank1(10) != 1 {
-		t.Error("rank after SetBit wrong")
-	}
-}
-
 func TestAllOnesAllZeros(t *testing.T) {
 	ones := NewSet(0)
 	ones.PushN(true, 200)
@@ -147,7 +134,6 @@ func TestPanics(t *testing.T) {
 		{"get out of range", func() { s := NewSet(0); s.PushBit(true); s.Get(1) }},
 		{"rank before seal", func() { s := NewSet(0); s.PushBit(true); s.Rank1(0) }},
 		{"rank out of range", func() { s := NewSet(0); s.PushBit(true); s.Seal(); s.Rank1(2) }},
-		{"setbit after seal", func() { s := NewSet(0); s.PushBit(false); s.Seal(); s.SetBit(0) }},
 		{"select before seal", func() { s := NewSet(0); s.PushBit(true); s.Select1(0) }},
 		{"ones before seal", func() { s := NewSet(0); s.Ones() }},
 	}
@@ -179,61 +165,5 @@ func TestSizeBytesPositive(t *testing.T) {
 	s.Seal()
 	if s.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 513, 4096} {
-		orig := NewSet(n)
-		for i := 0; i < n; i++ {
-			orig.PushBit(i%3 == 0 || i%7 == 2)
-		}
-		orig.Seal()
-		data, err := orig.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Set
-		if err := back.UnmarshalBinary(data); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if back.Len() != orig.Len() || back.Ones() != orig.Ones() {
-			t.Fatalf("n=%d: len/ones differ after round trip", n)
-		}
-		for i := 0; i < n; i++ {
-			if back.Get(i) != orig.Get(i) {
-				t.Fatalf("n=%d: bit %d differs", n, i)
-			}
-			if back.Rank1(i) != orig.Rank1(i) {
-				t.Fatalf("n=%d: rank %d differs", n, i)
-			}
-		}
-		for j := 0; j < orig.Ones(); j++ {
-			if back.Select1(j) != orig.Select1(j) {
-				t.Fatalf("n=%d: select %d differs", n, j)
-			}
-		}
-	}
-}
-
-func TestUnmarshalBinaryErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":             nil,
-		"truncated header":  {1, 2, 3},
-		"ragged words":      append(make([]byte, 8), 1, 2, 3),
-		"count over words":  {200, 0, 0, 0, 0, 0, 0, 0},
-		"count under words": append(make([]byte, 8), make([]byte, 16)...),
-	}
-	// Bits set beyond the declared count must be rejected, not
-	// silently kept where Rank1 would miscount.
-	tail := make([]byte, 16)
-	tail[0] = 3 // n = 3
-	tail[8] = 0xFF
-	cases["bits beyond count"] = tail
-	for name, data := range cases {
-		var s Set
-		if err := s.UnmarshalBinary(data); err == nil {
-			t.Errorf("%s: decoded successfully", name)
-		}
 	}
 }

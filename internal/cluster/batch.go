@@ -116,10 +116,3 @@ func (c *Local) SearchBatch(ctx context.Context, queries [][]geo.Point, k int, o
 
 // Indexes exposes the partition indexes (read-only use).
 func (c *Local) Indexes() []LocalIndex { return c.parts() }
-
-// RadiusSearcher is the optional range-query capability of a local
-// index. rptrie.Trie implements it; the baselines and the succinct
-// layout do not.
-type RadiusSearcher interface {
-	SearchRadius(q []geo.Point, radius float64) []topk.Item
-}

@@ -72,7 +72,6 @@ func TestLocalClusterAllAlgorithms(t *testing.T) {
 	}{
 		{"REPOSE", func(s *IndexSpec) {}},
 		{"REPOSE-opt", func(s *IndexSpec) { s.Optimize = true }},
-		{"REPOSE-succinct", func(s *IndexSpec) { s.Succinct = true }},
 		{"REPOSE-compressed", func(s *IndexSpec) { s.Layout = rptrie.LayoutCompressed }},
 		{"LS", func(s *IndexSpec) { s.Algorithm = LS }},
 		{"DFT", func(s *IndexSpec) { s.Algorithm = DFT }},

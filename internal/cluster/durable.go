@@ -45,12 +45,11 @@ func parsePartDir(name string) (int, bool) {
 // whatever the partition's subdirectory held. Non-REPOSE indexes
 // (baselines) pass through unchanged — they have no persistence.
 func wrapDurablePartition(dataDir string, pid int, idx LocalIndex) (LocalIndex, error) {
-	switch idx.(type) {
-	case *rptrie.Trie, *rptrie.Succinct, *rptrie.Compressed:
-	default:
+	ri, ok := idx.(rptrie.Index)
+	if !ok {
 		return idx, nil
 	}
-	d, err := rptrie.WrapDurable(filepath.Join(dataDir, partDirName(pid)), idx, rptrie.DurableOptions{})
+	d, err := rptrie.WrapDurable(filepath.Join(dataDir, partDirName(pid)), ri, rptrie.DurableOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: partition %d durable install: %w", pid, err)
 	}
@@ -196,8 +195,8 @@ func OpenLocalDurable(spec IndexSpec, numPartitions, workers int, dataDir string
 func recoveredDirectory(spec IndexSpec, indexes []LocalIndex) (*directory, error) {
 	d := &directory{loc: make(map[int32]int), spec: spec}
 	for pid, idx := range indexes {
-		if dur, ok := idx.(*rptrie.Durable); ok {
-			ids := dur.LiveIDs()
+		if ri, ok := idx.(rptrie.Index); ok {
+			ids := ri.LiveIDs()
 			sort.Ints(ids)
 			for _, id := range ids {
 				d.loc[int32(id)] = pid

@@ -2,35 +2,36 @@ package cluster
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repose/internal/dataset"
 	"repose/internal/geo"
 	"repose/internal/leakcheck"
+	"repose/internal/oracle"
 	"repose/internal/rptrie"
 	"repose/internal/storage"
-	"repose/internal/topk"
 )
 
-// TestLocalDurableBuildOpen: the local engine's disk-backed mode, all
-// three layouts. Build installs every partition under the data
-// directory, mutations journal, Close flushes, and OpenLocalDurable
-// recovers the engine — routing directory included — to bit-identical
-// answers, with mutation routing still working after recovery.
+// TestLocalDurableBuildOpen: the local engine's disk-backed mode, both
+// layouts. Build installs every partition under the data directory,
+// mutations journal, Close flushes, and OpenLocalDurable recovers the
+// engine — routing directory included — to bit-identical answers, with
+// mutation routing still working after recovery. A directory built
+// with the retired succinct layout opens as compressed.
 func TestLocalDurableBuildOpen(t *testing.T) {
-	for _, layout := range []rptrie.Layout{rptrie.LayoutPointer, rptrie.LayoutSuccinct, rptrie.LayoutCompressed} {
+	t.Run("layout=succinct", testLegacySuccinctDir)
+	for _, layout := range []rptrie.Layout{rptrie.LayoutPointer, rptrie.LayoutCompressed} {
 		t.Run(fmt.Sprintf("layout=%v", layout), func(t *testing.T) {
 			base := leakcheck.Base()
 			defer leakcheck.Settle(t, base)
 			dir := t.TempDir()
 			ds, parts, spec := testWorld(t, 150, 3)
 			spec.Layout = layout
-			hasRadius := layout != rptrie.LayoutSuccinct
 			ctx := context.Background()
 
 			eng, err := BuildLocalDurable(spec, parts, 4, dir)
@@ -53,12 +54,9 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantRad []topk.Item
-			if hasRadius {
-				wantRad, _, err = eng.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
+			wantRad, _, err := eng.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
 			wantLen := eng.Len()
 			if err := eng.Close(); err != nil {
@@ -82,20 +80,11 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, "recovered local search", 9, got, want)
-			if !hasRadius {
-				// The succinct layout has no range search; the durable
-				// wrapper must surface that, naming the partition.
-				if _, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{}); err == nil ||
-					!strings.Contains(err.Error(), "radius") {
-					t.Fatalf("succinct durable radius search: %v, want an unsupported diagnostic", err)
-				}
-			} else {
-				gotRad, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, "recovered local radius", 9, gotRad, wantRad)
+			gotRad, _, err := re.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertBitIdentical(t, "recovered local radius", 9, gotRad, wantRad)
 
 			// The rebuilt routing directory still targets existing ids:
 			// an upsert of a build-time trajectory must not duplicate
@@ -111,6 +100,97 @@ func TestLocalDurableBuildOpen(t *testing.T) {
 				t.Fatalf("delete of recovered insert: n=%d err=%v", n, err)
 			}
 		})
+	}
+}
+
+// testLegacySuccinctDir opens the repository's frozen durable
+// directory: two partitions written with the retired succinct layout,
+// each a checkpoint plus WAL records. Both recover as compressed at
+// their logged generations, answer exactly like the oracle over the
+// recorded live set, and keep taking mutations.
+func testLegacySuccinctDir(t *testing.T) {
+	base := leakcheck.Base()
+	defer leakcheck.Settle(t, base)
+	src := filepath.Join("..", "..", "testdata")
+	live, err := dataset.Load(filepath.Join(src, "legacy_succinct_live.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copyTree(t, filepath.Join(src, "legacy_succinct_durable"), dir)
+	f, err := os.Open(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct{ Spec IndexSpec } // the engine half of the facade's manifest
+	err = gob.NewDecoder(f).Decode(&manifest)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := manifest.Spec
+	eng, err := OpenLocalDurable(spec, 2, 2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for pid, idx := range eng.Indexes() {
+		if l := idx.(rptrie.Index).Layout(); l != rptrie.LayoutCompressed {
+			t.Fatalf("partition %d recovered as %v", pid, l)
+		}
+	}
+	if g := eng.Generations(); g[0] == 0 || g[1] == 0 {
+		t.Fatalf("generations %v: the logged mutations were not replayed", g)
+	}
+	if eng.Len() != len(live) {
+		t.Fatalf("recovered %d trajectories, live set has %d", eng.Len(), len(live))
+	}
+	ctx := context.Background()
+	for _, q := range dataset.Queries(live, 3, 5) {
+		got, _, err := eng.Search(ctx, q.Points, 6, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, "legacy search", 1, got, oracle.TopK(spec.Measure, spec.Params, live, q.Points, 6))
+		gotRad, _, err := eng.SearchRadius(ctx, q.Points, 0.8, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, "legacy radius", 1, gotRad, oracle.Radius(spec.Measure, spec.Params, live, q.Points, 0.8))
+	}
+	if _, err := eng.Upsert(ctx, []*geo.Trajectory{live[0]}, MutateOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Compact(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Len() != len(live) {
+		t.Fatalf("after upsert+compact: %d trajectories, want %d", eng.Len(), len(live))
+	}
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

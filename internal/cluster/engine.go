@@ -142,27 +142,9 @@ type MutateOptions struct {
 // QueryOptions.MinGens guarantees the query observes those mutations.
 type Gens map[int]uint64
 
-// MutableIndex is the optional online-maintenance capability of a
-// partition index. All rptrie layouts implement it; the baselines do
-// not — mutating them fails with ErrImmutable.
-type MutableIndex interface {
-	Insert(trs ...*geo.Trajectory) error
-	Delete(ids ...int) int
-	Upsert(trs ...*geo.Trajectory) error
-	Compact() error
-	Generation() uint64
-	DeltaLen() int
-}
-
-var (
-	_ MutableIndex = (*rptrie.Trie)(nil)
-	_ MutableIndex = (*rptrie.Succinct)(nil)
-	_ MutableIndex = (*rptrie.Compressed)(nil)
-	_ MutableIndex = (*rptrie.Durable)(nil)
-)
-
 // ErrImmutable reports a mutation routed to a partition whose index
-// type has no online-update support.
+// has no online-update support: a baseline rather than an
+// rptrie.Index.
 var ErrImmutable = errors.New("cluster: partition index does not support online updates")
 
 // ErrDuplicateID reports an Insert of an id that is already live.
@@ -175,12 +157,12 @@ const autoCompactFloor = 32
 
 // maybeCompact applies the MutateOptions.AutoCompact policy to one
 // partition index after a mutation.
-func maybeCompact(m MutableIndex, li LocalIndex, frac float64) error {
+func maybeCompact(m rptrie.Index, frac float64) error {
 	if frac <= 0 {
 		return nil
 	}
 	dl := m.DeltaLen()
-	if dl < autoCompactFloor || float64(dl) <= frac*float64(li.Len()) {
+	if dl < autoCompactFloor || float64(dl) <= frac*float64(m.Len()) {
 		return nil
 	}
 	return m.Compact()
@@ -219,7 +201,7 @@ func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner,
 	if spec.IsZero() {
 		return nil, nil
 	}
-	c, ok := idx.(interface{ Config() rptrie.Config })
+	c, ok := idx.(rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("cluster: partition %d index (%T) does not support refined queries", pi, idx)
 	}
@@ -229,9 +211,9 @@ func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner,
 
 // searchOne answers one partition-local top-k query honoring ctx and
 // opt; gpid is the partition's global id (for the generation pin).
-// shared is the k-th distance bound of the query's scatter, which the
-// rptrie layouts prune at and publish to (see rptrie's doc.go). They
-// also cancel mid-scan and fill stats (may be nil); the baseline
+// shared is the k-th distance bound of the query's scatter, which an
+// rptrie.Index prunes at and publishes to (see rptrie's doc.go). It
+// also cancels mid-scan and fills stats (may be nil); the baseline
 // indexes only observe the context between partitions, answer their
 // full local top-k and report no stats.
 func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k int, opt QueryOptions, stats *rptrie.SearchStats, shared *topk.Bound) ([]topk.Item, error) {
@@ -240,33 +222,22 @@ func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k i
 		return nil, err
 	}
 	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref, Shared: shared}
-	switch t := idx.(type) {
-	case *rptrie.Trie:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Succinct:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Compressed:
-		return t.SearchContext(ctx, q, k, sopt)
-	case *rptrie.Durable:
-		return t.SearchContext(ctx, q, k, sopt)
-	default:
-		// Baselines are immutable: generation pins are vacuous.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return idx.Search(q, k), nil
+	if ri, ok := idx.(rptrie.Index); ok {
+		return ri.SearchContext(ctx, q, k, sopt)
 	}
+	// Baselines are immutable: generation pins are vacuous.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return idx.Search(q, k), nil
 }
 
 // boundOne returns an admissible lower bound on the best distance any
 // trajectory in the partition could achieve for q — the probe
-// budget's pruning test. The rptrie layouts run a bounded best-first
-// walk (BoundContext); indexes without one (the baselines) return 0,
-// which never prunes.
+// budget's pruning test. An rptrie.Index runs a bounded best-first
+// walk (BoundContext); the baselines return 0, which never prunes.
 func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt QueryOptions) (float64, error) {
-	b, ok := idx.(interface {
-		BoundContext(ctx context.Context, q []geo.Point, opt rptrie.SearchOptions) (float64, error)
-	})
+	b, ok := idx.(rptrie.Index)
 	if !ok {
 		return 0, nil
 	}
@@ -278,28 +249,17 @@ func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt 
 }
 
 // radiusOne answers one partition-local range query. Indexes without
-// range support (the baselines and the succinct layout) are rejected,
-// naming the partition so mixed-index failures are diagnosable.
+// range support (the baselines) are rejected, naming the partition so
+// mixed-index failures are diagnosable.
 func radiusOne(ctx context.Context, pi, gpid int, idx LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, error) {
+	ri, ok := idx.(rptrie.Index)
+	if !ok {
+		return nil, fmt.Errorf("cluster: partition %d index (%T) does not support radius search", pi, idx)
+	}
 	ref, err := refinerFor(gpid, idx, opt.Refine)
 	if err != nil {
 		return nil, err
 	}
 	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Refiner: ref}
-	if t, ok := idx.(*rptrie.Trie); ok {
-		return t.SearchRadiusContext(ctx, q, radius, sopt)
-	}
-	if c, ok := idx.(*rptrie.Compressed); ok {
-		return c.SearchRadiusContext(ctx, q, radius, sopt)
-	}
-	if d, ok := idx.(*rptrie.Durable); ok && d.Layout() != rptrie.LayoutSuccinct {
-		return d.SearchRadiusContext(ctx, q, radius, sopt)
-	}
-	if rs, ok := idx.(RadiusSearcher); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return rs.SearchRadius(q, radius), nil
-	}
-	return nil, fmt.Errorf("cluster: partition %d index (%T) does not support radius search", pi, idx)
+	return ri.SearchRadiusContext(ctx, q, radius, sopt)
 }

@@ -746,9 +746,9 @@ func TestWorkerStatusSnapshotRestoreRPCs(t *testing.T) {
 		t.Error("unversioned restore should fail")
 	}
 
-	// The succinct and compressed layouts round-trip through
-	// Snapshot/Restore too, each flagged with its layout.
-	for _, layout := range []rptrie.Layout{rptrie.LayoutSuccinct, rptrie.LayoutCompressed} {
+	// The compressed layout round-trips through Snapshot/Restore too,
+	// flagged with its layout.
+	for _, layout := range []rptrie.Layout{rptrie.LayoutCompressed} {
 		sspec := spec
 		sspec.Layout = layout
 		ws := NewWorker()

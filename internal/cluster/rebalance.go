@@ -351,30 +351,25 @@ func (c *Local) SplitPartition(ctx context.Context, pid int) (int, error) {
 		_ = c.dir.rebuildRouterLocked(n)
 		return 0, fmt.Errorf("cluster: split partition %d: %w", pid, err)
 	}
-	mm, ok := clone.(MutableIndex)
-	if !ok {
-		_ = c.dir.rebuildRouterLocked(n)
-		return 0, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, clone)
-	}
 	keep := make(map[int]struct{}, len(moveIDs))
 	for _, id := range moveIDs {
 		keep[id] = struct{}{}
 	}
 	var drop []int
-	for _, id := range liveIDs(clone) {
+	for _, id := range clone.LiveIDs() {
 		if _, kept := keep[id]; !kept {
 			drop = append(drop, id)
 		}
 	}
 	sort.Ints(drop)
 	if len(drop) > 0 {
-		mm.Delete(drop...)
+		clone.Delete(drop...)
 	}
-	if err := mm.Compact(); err != nil {
+	if err := clone.Compact(); err != nil {
 		_ = c.dir.rebuildRouterLocked(n)
 		return 0, fmt.Errorf("cluster: split partition %d: compact clone: %w", pid, err)
 	}
-	idx := clone
+	var idx LocalIndex = clone
 	if c.dataDir != "" {
 		idx, err = wrapDurablePartition(c.dataDir, newPid, clone)
 		if err != nil {
@@ -391,7 +386,7 @@ func (c *Local) SplitPartition(ctx context.Context, pid int) (int, error) {
 	grown[newPid] = idx
 	c.setParts(grown)
 
-	m, _, err := c.mutable(pid)
+	m, err := c.mutable(pid)
 	if err != nil {
 		return newPid, err
 	}

@@ -26,7 +26,6 @@ func TestProbeBudgetBitIdenticalAllLayouts(t *testing.T) {
 		mod  func(*IndexSpec)
 	}{
 		{"pointer", func(s *IndexSpec) {}},
-		{"succinct", func(s *IndexSpec) { s.Layout = rptrie.LayoutSuccinct }},
 		{"compressed", func(s *IndexSpec) { s.Layout = rptrie.LayoutCompressed }},
 	}
 	ctx := context.Background()

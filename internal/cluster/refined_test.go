@@ -91,7 +91,6 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 		mod  func(*IndexSpec)
 	}{
 		{"pointer", func(s *IndexSpec) {}},
-		{"succinct", func(s *IndexSpec) { s.Succinct = true }},
 		{"compressed", func(s *IndexSpec) { s.Layout = rptrie.LayoutCompressed }},
 	}
 	modes := []rptrie.RefineSpec{
@@ -133,9 +132,6 @@ func TestRefinedQueriesMatchOracleAcrossEngines(t *testing.T) {
 					assertRefinedProfile(t, label, refine, byID, got, want)
 					if !rep.CacheEligible {
 						t.Fatalf("%s q%d: full-scatter refined search must stay cache-eligible", label, qi)
-					}
-					if sp.Succinct {
-						continue // no radius walk on the succinct layout
 					}
 					radius := 0.8
 					wantR := oracle.RadiusRefined(sp.Measure, sp.Params, ds, q.Points, radius, osp)

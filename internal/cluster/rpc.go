@@ -75,7 +75,7 @@ import (
 // ProtocolVersion is the driver↔worker wire protocol version. The
 // worker rejects requests from a driver speaking a different version
 // rather than mis-decoding them.
-const ProtocolVersion = 7
+const ProtocolVersion = 8
 
 // checkVersion rejects a peer speaking a different protocol version.
 func checkVersion(v int) error {
@@ -513,7 +513,7 @@ func (w *Worker) Build(args *BuildArgs, reply *BuildReply) error {
 	spec := args.Spec
 	w.mu.Lock()
 	if w.forceLayout != nil && spec.Algorithm == REPOSE {
-		spec.Layout, spec.Succinct = *w.forceLayout, false
+		spec.Layout = *w.forceLayout
 	}
 	w.mu.Unlock()
 	idx, err := spec.BuildLocal(args.Trajectories)
@@ -773,18 +773,18 @@ func (w *Worker) SearchBatch(args *SearchBatchArgs, reply *SearchBatchReply) err
 }
 
 // ownedMutable resolves one owned partition's index as mutable.
-func (w *Worker) ownedMutable(pid int) (MutableIndex, LocalIndex, error) {
+func (w *Worker) ownedMutable(pid int) (rptrie.Index, error) {
 	w.mu.Lock()
 	idx := w.indexes[pid]
 	w.mu.Unlock()
 	if idx == nil {
-		return nil, nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
+		return nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
 	}
-	m, ok := idx.(MutableIndex)
+	m, ok := idx.(rptrie.Index)
 	if !ok {
-		return nil, nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, idx)
+		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, idx)
 	}
-	return m, idx, nil
+	return m, nil
 }
 
 // Insert applies pending inserts (or, with Replace, upserts) to one
@@ -793,7 +793,7 @@ func (w *Worker) Insert(args *InsertArgs, reply *InsertReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	m, li, err := w.ownedMutable(args.PartitionID)
+	m, err := w.ownedMutable(args.PartitionID)
 	if err != nil {
 		return err
 	}
@@ -805,11 +805,11 @@ func (w *Worker) Insert(args *InsertArgs, reply *InsertReply) error {
 	if err != nil {
 		return err
 	}
-	if err := maybeCompact(m, li, args.AutoCompact); err != nil {
+	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
 	reply.Gen = m.Generation()
-	reply.Len = li.Len()
+	reply.Len = m.Len()
 	return nil
 }
 
@@ -818,16 +818,16 @@ func (w *Worker) Delete(args *DeleteArgs, reply *DeleteReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	m, li, err := w.ownedMutable(args.PartitionID)
+	m, err := w.ownedMutable(args.PartitionID)
 	if err != nil {
 		return err
 	}
 	reply.Removed = m.Delete(args.IDs...)
-	if err := maybeCompact(m, li, args.AutoCompact); err != nil {
+	if err := maybeCompact(m, args.AutoCompact); err != nil {
 		return err
 	}
 	reply.Gen = m.Generation()
-	reply.Len = li.Len()
+	reply.Len = m.Len()
 	return nil
 }
 
@@ -853,7 +853,7 @@ func (w *Worker) Compact(args *CompactArgs, reply *CompactReply) error {
 	sort.Ints(pids)
 	reply.Gens = make(map[int]uint64, len(pids))
 	for _, pid := range pids {
-		m, _, err := w.ownedMutable(pid)
+		m, err := w.ownedMutable(pid)
 		if err != nil {
 			return err
 		}
@@ -900,7 +900,7 @@ func (w *Worker) Status(args *StatusArgs, reply *StatusReply) error {
 	reply.Lens = make(map[int]int, len(w.indexes))
 	for pid, idx := range w.indexes {
 		gen := uint64(0)
-		if m, ok := idx.(MutableIndex); ok {
+		if m, ok := idx.(rptrie.Index); ok {
 			gen = m.Generation()
 		}
 		reply.Gens[pid] = gen
@@ -942,70 +942,27 @@ var errNoSnapshot = errors.New("cluster: index does not support snapshots")
 // in) with its layout and generation — the payload of Snapshot and
 // the first half of a clone.
 func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
-	var buf bytes.Buffer
-	switch t := idx.(type) {
-	case *rptrie.Trie:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutPointer, t.Generation(), nil
-	case *rptrie.Succinct:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutSuccinct, t.Generation(), nil
-	case *rptrie.Compressed:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), rptrie.LayoutCompressed, t.Generation(), nil
-	case *rptrie.Durable:
-		if err := t.Save(&buf); err != nil {
-			return nil, 0, 0, err
-		}
-		return buf.Bytes(), t.Layout(), t.Generation(), nil
-	default:
+	ri, ok := idx.(rptrie.Index)
+	if !ok {
 		return nil, 0, 0, fmt.Errorf("%w (%T)", errNoSnapshot, idx)
 	}
-}
-
-// decodeIndex materializes an encodeIndex/Snapshot image.
-func decodeIndex(layout rptrie.Layout, data []byte) (LocalIndex, uint64, error) {
-	switch layout {
-	case rptrie.LayoutSuccinct:
-		s, err := rptrie.ReadSuccinct(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return s, s.Generation(), nil
-	case rptrie.LayoutCompressed:
-		c, err := rptrie.ReadCompressed(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, c.Generation(), nil
-	case rptrie.LayoutPointer:
-		t, err := rptrie.ReadTrie(bytes.NewReader(data))
-		if err != nil {
-			return nil, 0, err
-		}
-		return t, t.Generation(), nil
-	default:
-		return nil, 0, fmt.Errorf("cluster: restore of unknown layout %v", layout)
+	var buf bytes.Buffer
+	if err := ri.Save(&buf); err != nil {
+		return nil, 0, 0, err
 	}
+	return buf.Bytes(), ri.Layout(), ri.Generation(), nil
 }
 
 // cloneLocalIndex deep-copies an index through a Save/Read round trip,
 // preserving layout and generation. A Durable source clones to its
 // in-memory layout; the caller decides whether the clone gets its own
 // store.
-func cloneLocalIndex(idx LocalIndex) (LocalIndex, error) {
+func cloneLocalIndex(idx LocalIndex) (rptrie.Index, error) {
 	data, layout, _, err := encodeIndex(idx)
 	if err != nil {
 		return nil, err
 	}
-	clone, _, err := decodeIndex(layout, data)
-	return clone, err
+	return rptrie.Read(layout, bytes.NewReader(data))
 }
 
 // Restore installs a partition image produced by Snapshot, replacing
@@ -1015,10 +972,12 @@ func (w *Worker) Restore(args *RestoreArgs, reply *RestoreReply) error {
 	if err := checkVersion(args.Version); err != nil {
 		return err
 	}
-	idx, gen, err := decodeIndex(args.Layout, args.Data)
+	ri, err := rptrie.Read(args.Layout, bytes.NewReader(args.Data))
 	if err != nil {
 		return err
 	}
+	gen := ri.Generation()
+	var idx LocalIndex = ri
 	// As in Build: uninstall before wiping, so a failed durable
 	// install leaves the partition absent rather than installed with a
 	// closed store and a destroyed directory.
@@ -1078,45 +1037,40 @@ func (w *Worker) Split(args *SplitArgs, reply *SplitReply) error {
 	if err != nil {
 		return err
 	}
-	m, ok := clone.(MutableIndex)
-	if !ok {
-		return fmt.Errorf("%w (partition %d, %T)", ErrImmutable, args.PartitionID, clone)
-	}
 	keep := make(map[int]bool, len(args.MoveIDs))
 	for _, id := range args.MoveIDs {
 		keep[id] = true
 	}
 	var drop []int
-	for _, id := range liveIDs(clone) {
+	for _, id := range clone.LiveIDs() {
 		if !keep[id] {
 			drop = append(drop, id)
 		}
 	}
 	sort.Ints(drop) // deterministic across replicas
 	if len(drop) > 0 {
-		m.Delete(drop...)
+		clone.Delete(drop...)
 	}
-	if err := m.Compact(); err != nil {
+	if err := clone.Compact(); err != nil {
 		return err
 	}
+	var installed LocalIndex = clone
 	if w.dataDir != "" {
-		if clone, err = wrapDurablePartition(w.dataDir, args.NewPartitionID, clone); err != nil {
+		if installed, err = wrapDurablePartition(w.dataDir, args.NewPartitionID, clone); err != nil {
 			return err
 		}
 	}
 	w.mu.Lock()
 	if _, raced := w.indexes[args.NewPartitionID]; raced {
 		w.mu.Unlock()
-		destroyDurable(clone)
+		destroyDurable(installed)
 		return fmt.Errorf("cluster: split target partition %d already exists", args.NewPartitionID)
 	}
-	w.indexes[args.NewPartitionID] = clone
+	w.indexes[args.NewPartitionID] = installed
 	w.mu.Unlock()
-	if mm, ok := clone.(MutableIndex); ok {
-		reply.Gen = mm.Generation()
-	}
-	reply.Len = clone.Len()
-	reply.SizeBytes = clone.SizeBytes()
+	reply.Gen = clone.Generation()
+	reply.Len = installed.Len()
+	reply.SizeBytes = installed.SizeBytes()
 	return nil
 }
 

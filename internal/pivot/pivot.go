@@ -120,9 +120,9 @@ func LowerBound(dqp []float64, hr []Range) float64 {
 // RangeBound is one pivot's LBp contribution: how far the
 // query-to-pivot distance dq lies outside the closed interval
 // [lo, hi] of member-to-pivot distances (0 inside, or when the
-// interval is empty, i.e. lo > hi). The succinct layout evaluates it
-// directly over its packed float32 ranges so all LBp call sites share
-// one formula.
+// interval is empty, i.e. lo > hi). The compressed layout evaluates
+// it directly over its decoded quantized ranges so all LBp call sites
+// share one formula.
 func RangeBound(dq, lo, hi float64) float64 {
 	if lo > hi {
 		return 0

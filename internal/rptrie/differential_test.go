@@ -92,13 +92,13 @@ func runDifferentialCase(t *testing.T, layout string, m dist.Measure, p dist.Par
 		q := randomDataset(rng, 1)[0]
 		k := 1 + rng.Intn(12)
 		diffAssertTopK(t, ctx, m, p, mirror, q.Points, k, idx.Search(q.Points, k))
-		// Range queries: the pointer and compressed layouts support
-		// them (Succinct does not), and both must match the oracle.
-		if rs, ok := idx.(interface {
-			SearchRadius(q []geo.Point, radius float64) []topk.Item
-		}); ok && rng.Intn(4) == 0 {
+		if rng.Intn(4) == 0 {
 			radius := 0.2 + rng.Float64()*3
-			diffAssertRadius(t, ctx, m, p, mirror, q.Points, radius, rs.SearchRadius(q.Points, radius))
+			got, err := idx.(Index).SearchRadiusContext(nil, q.Points, radius, SearchOptions{})
+			if err != nil {
+				t.Fatalf("%s: radius: %v", ctx, err)
+			}
+			diffAssertRadius(t, ctx, m, p, mirror, q.Points, radius, got)
 		}
 		cases++
 	}

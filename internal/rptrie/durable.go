@@ -14,8 +14,8 @@ import (
 	"repose/internal/topk"
 )
 
-// Durable is the disk-backed third backing mode, alongside the
-// pointer and succinct layouts: it wraps either of them and journals
+// Durable is the disk-backed backing mode of the pointer and
+// compressed layouts: it wraps either of them and journals
 // every mutation through internal/storage so the partition recovers
 // to its exact pre-crash generation after kill -9.
 //
@@ -36,39 +36,12 @@ import (
 // from memory.
 type Durable struct {
 	mu              sync.Mutex
-	inner           innerIndex
+	inner           memIndex
 	store           *storage.Store
 	dir             string
-	layout          Layout
 	noCkptOnCompact bool
 	broken          error
 }
-
-// innerIndex is the layout surface Durable wraps; *Trie, *Succinct,
-// and *Compressed all satisfy it.
-type innerIndex interface {
-	Insert(trs ...*geo.Trajectory) error
-	Delete(ids ...int) int
-	Upsert(trs ...*geo.Trajectory) error
-	Compact() error
-	Generation() uint64
-	DeltaLen() int
-	Len() int
-	SizeBytes() int
-	Config() Config
-	Search(q []geo.Point, k int) []topk.Item
-	SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item
-	SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error)
-	BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error)
-	LiveIDs() []int
-	Save(w io.Writer) error
-}
-
-var (
-	_ innerIndex = (*Trie)(nil)
-	_ innerIndex = (*Succinct)(nil)
-	_ innerIndex = (*Compressed)(nil)
-)
 
 // ErrNoDurable reports a directory holding no recoverable index —
 // never created, wiped, or its creation crashed before the initial
@@ -88,13 +61,9 @@ const (
 	recCompact = byte(4)
 )
 
-// Checkpoint image layout bytes (first byte of the image, ahead of
-// the layout's own Save encoding).
-const (
-	imageTrie       = byte(0)
-	imageSuccinct   = byte(1)
-	imageCompressed = byte(2)
-)
+// A checkpoint image is the Layout of the index that wrote it, as one
+// byte, ahead of that layout's own Save encoding (Read's input). An
+// image tagged with the retired succinct layout loads as compressed.
 
 // walPayload is the gob body of one WAL record. Gen is the
 // generation the mutation produced, the replay cross-check.
@@ -123,11 +92,6 @@ type DurableOptions struct {
 	// Layout selects which layout BuildDurable installs the built
 	// index in. The zero value is the pointer layout.
 	Layout Layout
-	// Succinct is the pre-Layout form of requesting LayoutSuccinct;
-	// honored when Layout is left at its zero value.
-	//
-	// Deprecated: set Layout instead.
-	Succinct bool
 	// NoCheckpointOnCompact disables the automatic checkpoint after
 	// Compact (the WAL then carries compaction as a replayed record).
 	NoCheckpointOnCompact bool
@@ -137,49 +101,26 @@ func (o DurableOptions) storage() storage.Options {
 	return storage.Options{VFS: o.VFS, PageSize: o.PageSize, PoolFrames: o.PoolFrames}
 }
 
-// layoutOf resolves the requested layout, honoring the deprecated
-// Succinct flag.
-func (o DurableOptions) layoutOf() Layout {
-	if o.Layout == LayoutPointer && o.Succinct {
-		return LayoutSuccinct
-	}
-	return o.Layout
-}
-
-// BuildDurable builds an index over ds (like Build, then converted to
-// the requested layout like Compress or CompressTST) and installs it
-// durably at dir, wiping whatever the directory held. It returns only
-// after the initial checkpoint is on disk.
+// BuildDurable builds an index over ds in the requested layout (see
+// BuildLayout) and installs it durably at dir, wiping whatever the
+// directory held. It returns only after the initial checkpoint is on
+// disk.
 func BuildDurable(dir string, cfg Config, ds []*geo.Trajectory, o DurableOptions) (*Durable, error) {
-	t, err := Build(cfg, ds)
+	idx, err := BuildLayout(cfg, ds, o.Layout)
 	if err != nil {
 		return nil, err
 	}
-	switch o.layoutOf() {
-	case LayoutSuccinct:
-		s, err := Compress(t)
-		if err != nil {
-			return nil, err
-		}
-		return WrapDurable(dir, s, o)
-	case LayoutCompressed:
-		c, err := CompressTST(t)
-		if err != nil {
-			return nil, err
-		}
-		return WrapDurable(dir, c, o)
-	}
-	return WrapDurable(dir, t, o)
+	return WrapDurable(dir, idx, o)
 }
 
-// WrapDurable installs a pre-built index (a *Trie, *Succinct, or
+// WrapDurable installs a pre-built in-memory index (a *Trie or
 // *Compressed, e.g. one restored from a peer snapshot) as the durable
 // index at dir, wiping whatever the directory held. It returns only
 // after the initial checkpoint is on disk.
-func WrapDurable(dir string, idx any, o DurableOptions) (*Durable, error) {
-	inner, layout, err := asInner(idx)
-	if err != nil {
-		return nil, err
+func WrapDurable(dir string, idx Index, o DurableOptions) (*Durable, error) {
+	inner, ok := idx.(memIndex)
+	if !ok {
+		return nil, fmt.Errorf("rptrie: cannot make a %T durable", idx)
 	}
 	if err := storage.Destroy(dir, o.VFS); err != nil {
 		return nil, err
@@ -188,26 +129,12 @@ func WrapDurable(dir string, idx any, o DurableOptions) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{inner: inner, store: st, dir: dir, layout: layout, noCkptOnCompact: o.NoCheckpointOnCompact}
+	d := &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}
 	if err := d.Checkpoint(); err != nil {
 		st.Close()
 		return nil, err
 	}
 	return d, nil
-}
-
-// asInner narrows idx to the layouts Durable can wrap.
-func asInner(idx any) (innerIndex, Layout, error) {
-	switch v := idx.(type) {
-	case *Trie:
-		return v, LayoutPointer, nil
-	case *Succinct:
-		return v, LayoutSuccinct, nil
-	case *Compressed:
-		return v, LayoutCompressed, nil
-	default:
-		return nil, 0, fmt.Errorf("rptrie: cannot make a %T durable", idx)
-	}
 }
 
 // OpenDurable recovers the durable index at dir: it loads the newest
@@ -244,43 +171,23 @@ func recoverIndex(st *storage.Store, dir string, o DurableOptions) (*Durable, er
 	if len(image) == 0 {
 		return nil, fmt.Errorf("%w: %s: empty checkpoint image", ErrNoDurable, dir)
 	}
-	var inner innerIndex
-	layout := LayoutPointer
-	switch image[0] {
-	case imageTrie:
-		t, err := ReadTrie(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner = t
-	case imageSuccinct:
-		s, err := ReadSuccinct(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner, layout = s, LayoutSuccinct
-	case imageCompressed:
-		c, err := ReadCompressed(bytes.NewReader(image[1:]))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
-		}
-		inner, layout = c, LayoutCompressed
-	default:
-		return nil, fmt.Errorf("%w: %s: unknown image layout %d", ErrNoDurable, dir, image[0])
+	inner, err := readMem(Layout(image[0]), bytes.NewReader(image[1:]))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
 	if err := st.Replay(func(rec storage.WALRecord) error {
 		return applyRecord(inner, rec)
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
-	return &Durable{inner: inner, store: st, dir: dir, layout: layout, noCkptOnCompact: o.NoCheckpointOnCompact}, nil
+	return &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}, nil
 }
 
 // applyRecord re-applies one logged mutation during recovery. The
 // staging code is deterministic, so the replayed generation must
 // match the recorded one exactly; a mismatch means the image and log
 // diverged and the state cannot be trusted.
-func applyRecord(inner innerIndex, rec storage.WALRecord) error {
+func applyRecord(inner Index, rec storage.WALRecord) error {
 	payload := rec.Payload
 	if len(payload) > 0 && payload[0] <= walVersion {
 		// Versioned record (see walVersion): strip the prefix. Bytes
@@ -323,32 +230,6 @@ func applyRecord(inner innerIndex, rec storage.WALRecord) error {
 	return nil
 }
 
-// snapshotOf captures the inner layout's current immutable state, so
-// a mutation whose logging fails can be rolled back.
-func snapshotOf(inner innerIndex) any {
-	switch v := inner.(type) {
-	case *Trie:
-		return v.cur.Load()
-	case *Succinct:
-		return v.cur.Load()
-	case *Compressed:
-		return v.cur.Load()
-	}
-	return nil
-}
-
-// restoreSnapshot rolls the inner layout back to a snapshotOf result.
-func restoreSnapshot(inner innerIndex, snap any) {
-	switch v := inner.(type) {
-	case *Trie:
-		v.cur.Store(snap.(*trieState))
-	case *Succinct:
-		v.cur.Store(snap.(*succState))
-	case *Compressed:
-		v.cur.Store(snap.(*cmpState))
-	}
-}
-
 // logMutation journals one applied mutation and returns its LSN. The
 // caller holds d.mu and has already applied the mutation; prev is the
 // pre-mutation state for rollback. On failure the handle is poisoned
@@ -363,7 +244,7 @@ func (d *Durable) logMutation(typ byte, p walPayload, prev any) (uint64, error) 
 		lsn, err = d.store.Append(typ, buf.Bytes())
 	}
 	if err != nil {
-		restoreSnapshot(d.inner, prev)
+		d.inner.restore(prev)
 		d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
 		return 0, d.broken
 	}
@@ -379,7 +260,7 @@ func (d *Durable) ackSync(lsn uint64, genAfter uint64, prev any) error {
 	if err := d.store.Sync(lsn); err != nil {
 		d.mu.Lock()
 		if d.inner.Generation() == genAfter {
-			restoreSnapshot(d.inner, prev)
+			d.inner.restore(prev)
 		}
 		if d.broken == nil {
 			d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
@@ -402,7 +283,7 @@ func (d *Durable) Insert(trs ...*geo.Trajectory) error {
 		d.mu.Unlock()
 		return d.broken
 	}
-	prev := snapshotOf(d.inner)
+	prev := d.inner.snapshot()
 	if err := d.inner.Insert(trs...); err != nil {
 		d.mu.Unlock()
 		return err
@@ -430,7 +311,7 @@ func (d *Durable) Delete(ids ...int) int {
 		d.mu.Unlock()
 		return 0
 	}
-	prev := snapshotOf(d.inner)
+	prev := d.inner.snapshot()
 	n := d.inner.Delete(ids...)
 	if n == 0 {
 		d.mu.Unlock()
@@ -458,7 +339,7 @@ func (d *Durable) Upsert(trs ...*geo.Trajectory) error {
 		d.mu.Unlock()
 		return d.broken
 	}
-	prev := snapshotOf(d.inner)
+	prev := d.inner.snapshot()
 	if err := d.inner.Upsert(trs...); err != nil {
 		d.mu.Unlock()
 		return err
@@ -486,7 +367,7 @@ func (d *Durable) Compact() error {
 		d.mu.Unlock()
 		return nil
 	}
-	prev := snapshotOf(d.inner)
+	prev := d.inner.snapshot()
 	if err := d.inner.Compact(); err != nil {
 		d.mu.Unlock()
 		return err
@@ -516,14 +397,7 @@ func (d *Durable) Checkpoint() error {
 		return d.broken
 	}
 	var buf bytes.Buffer
-	layout := imageTrie
-	switch d.layout {
-	case LayoutSuccinct:
-		layout = imageSuccinct
-	case LayoutCompressed:
-		layout = imageCompressed
-	}
-	buf.WriteByte(layout)
+	buf.WriteByte(byte(d.inner.Layout()))
 	if err := d.inner.Save(&buf); err != nil {
 		return err
 	}
@@ -562,12 +436,7 @@ func (d *Durable) Err() error {
 func (d *Durable) Dir() string { return d.dir }
 
 // Layout reports the wrapped layout.
-func (d *Durable) Layout() Layout { return d.layout }
-
-// IsSuccinct reports whether the wrapped layout is the succinct one.
-//
-// Deprecated: use Layout.
-func (d *Durable) IsSuccinct() bool { return d.layout == LayoutSuccinct }
+func (d *Durable) Layout() Layout { return d.inner.Layout() }
 
 // Generation returns the current snapshot's generation.
 func (d *Durable) Generation() uint64 { return d.inner.Generation() }
@@ -605,22 +474,13 @@ func (d *Durable) BoundContext(ctx context.Context, q []geo.Point, opt SearchOpt
 	return d.inner.BoundContext(ctx, q, opt)
 }
 
-// SearchRadiusContext answers a range query when the wrapped layout
-// supports one (the pointer and compressed layouts; succinct does
-// not).
+// SearchRadiusContext answers a range query on the wrapped index.
 func (d *Durable) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
-	switch v := d.inner.(type) {
-	case *Trie:
-		return v.SearchRadiusContext(ctx, q, radius, opt)
-	case *Compressed:
-		return v.SearchRadiusContext(ctx, q, radius, opt)
-	}
-	return nil, errors.New("rptrie: durable succinct index does not support radius search")
+	return d.inner.SearchRadiusContext(ctx, q, radius, opt)
 }
 
 // Save serializes the wrapped index in its layout's wire format
-// (readable by ReadTrie, ReadSuccinct, or ReadCompressed per Layout)
-// — the cluster snapshot path.
+// (readable by Read under Layout) — the cluster snapshot path.
 func (d *Durable) Save(w io.Writer) error { return d.inner.Save(w) }
 
 // LiveIDs returns the ids of every live trajectory, unordered — the

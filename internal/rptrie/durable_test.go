@@ -29,10 +29,12 @@ func durableCfg(t *testing.T) Config {
 
 // TestDurableRoundTripOnDisk exercises the real filesystem: build,
 // mutate, close, reopen in a fresh process-equivalent, and compare
-// answers to the oracle. Both layouts.
+// answers to the oracle. Both layouts, plus a partition whose
+// checkpoint the retired succinct layout wrote.
 func TestDurableRoundTripOnDisk(t *testing.T) {
 	base := leakcheck.Base()
 	defer leakcheck.Settle(t, base)
+	t.Run("succinct", testDurableSuccinctCheckpoint)
 	for _, layout := range dynLayouts {
 		t.Run(layout, func(t *testing.T) {
 			dir := t.TempDir()
@@ -189,11 +191,17 @@ func TestDurablePoisonOnStorageFailure(t *testing.T) {
 	d.Close()
 }
 
-// TestDurableWrapRejectsForeignTypes: only the two index layouts can
-// be made durable.
+// TestDurableWrapRejectsForeignTypes: only the two in-memory layouts
+// can be made durable — not an index that already is.
 func TestDurableWrapRejectsForeignTypes(t *testing.T) {
-	if _, err := WrapDurable("x", 42, DurableOptions{VFS: failpoint.New(1)}); err == nil {
-		t.Fatal("WrapDurable(int) succeeded")
+	fs := failpoint.New(1)
+	d, err := BuildDurable("part", durableCfg(t), randomDataset(rand.New(rand.NewSource(1)), 4), DurableOptions{VFS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := WrapDurable("other", d, DurableOptions{VFS: fs}); err == nil {
+		t.Fatal("WrapDurable(*Durable) succeeded")
 	}
 }
 
@@ -296,5 +304,66 @@ func TestDurableConcurrentInsertCompactNoDeadlock(t *testing.T) {
 	if re.Len() != wantLen || re.Generation() != wantGen {
 		t.Fatalf("recovered len=%d gen=%d, want len=%d gen=%d",
 			re.Len(), re.Generation(), wantLen, wantGen)
+	}
+}
+
+// testDurableSuccinctCheckpoint: a partition whose checkpoint is an
+// image of the retired succinct layout (tagged with its Layout value,
+// here the frozen golden image) recovers as compressed at the image's
+// generation, answers like a fresh compressed build of the same state,
+// and keeps taking mutations that checkpoint in the compressed layout.
+func testDurableSuccinctCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	st, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := append([]byte{byte(layoutSuccinct)}, loadFrozen(t, "succinct.img", wireVersion)...)
+	if err := st.Checkpoint(image, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Layout() != LayoutCompressed || d.Generation() != 2 || d.Len() != 5 {
+		t.Fatalf("recovered layout=%v gen=%d len=%d, want compressed, 2, 5", d.Layout(), d.Generation(), d.Len())
+	}
+	tr, q := goldenIndex(t)
+	fresh, err := CompressTST(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, probe := range goldenProbes(q) {
+		if got, want := d.Search(probe, 3), fresh.Search(probe, 3); !bitIdentical(got, want) {
+			t.Fatalf("top-3 %v, fresh compressed %v", got, want)
+		}
+		got, err := d.SearchRadiusContext(nil, probe, 2.5, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh.SearchRadius(probe, 2.5); !bitIdentical(got, want) {
+			t.Fatalf("radius %v, fresh compressed %v", got, want)
+		}
+	}
+	if err := d.Insert(mkTraj(200, 6.5, 6.5, 7.5, 6.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = OpenDurable(dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if d.Layout() != LayoutCompressed || d.Generation() != 4 || d.Len() != 6 {
+		t.Fatalf("reopened layout=%v gen=%d len=%d, want compressed, 4, 6", d.Layout(), d.Generation(), d.Len())
 	}
 }

@@ -271,6 +271,12 @@ func (t *Trie) Generation() uint64 { return t.state().gen }
 // DeltaLen returns the number of pending (uncompacted) mutations.
 func (t *Trie) DeltaLen() int { return t.state().delta.size() }
 
+// Layout reports LayoutPointer.
+func (t *Trie) Layout() Layout { return LayoutPointer }
+
+func (t *Trie) snapshot() any    { return t.cur.Load() }
+func (t *Trie) restore(snap any) { t.cur.Store(snap.(*trieState)) }
+
 // Insert adds trajectories to the live index as pending inserts,
 // visible to every query issued after it returns. It fails — without
 // applying anything — on an empty trajectory or an id that is already

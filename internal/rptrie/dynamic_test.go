@@ -30,29 +30,18 @@ type dynIndex interface {
 // buildDyn builds one index of the requested layout over ds.
 func buildDyn(t *testing.T, layout string, cfg Config, ds []*geo.Trajectory) dynIndex {
 	t.Helper()
-	tr, err := Build(cfg, ds)
+	l, err := ParseLayout(layout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch layout {
-	case "pointer":
-		return tr
-	case "compressed":
-		c, err := CompressTST(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	default:
-		s, err := Compress(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+	idx, err := BuildLayout(cfg, ds, l)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return idx.(dynIndex)
 }
 
-var dynLayouts = []string{"pointer", "succinct", "compressed"}
+var dynLayouts = []string{"pointer", "compressed"}
 
 func TestInsertVisibleDeleteInvisible(t *testing.T) {
 	ds, q, g := paperDataset()
@@ -246,12 +235,12 @@ func TestStaleGenerationPin(t *testing.T) {
 	if _, err := tr.SearchContext(nil, q.Points, 2, SearchOptions{MinGen: tr.Generation()}); err != nil {
 		t.Fatalf("satisfied pin failed: %v", err)
 	}
-	s, err := Compress(tr)
+	c, err := CompressTST(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SearchContext(nil, q.Points, 2, SearchOptions{MinGen: s.Generation() + 1}); !errors.Is(err, ErrStale) {
-		t.Fatalf("future pin on succinct: err = %v", err)
+	if _, err := c.SearchContext(nil, q.Points, 2, SearchOptions{MinGen: c.Generation() + 1}); !errors.Is(err, ErrStale) {
+		t.Fatalf("future pin on compressed: err = %v", err)
 	}
 }
 

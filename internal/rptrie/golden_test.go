@@ -119,35 +119,34 @@ func goldenProbes(q *geo.Trajectory) [][]geo.Point {
 	}
 }
 
+// TestGoldenSuccinctImage: succinct.img is a frozen image of the
+// retired succinct layout and is never regenerated. It must load as a
+// compressed index at its recorded generation and answer — with the
+// same traversal work — exactly like a fresh CompressTST build of the
+// same state.
 func TestGoldenSuccinctImage(t *testing.T) {
 	tr, q := goldenIndex(t)
-	suc, err := Compress(tr)
+	fresh, err := CompressTST(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := suc.Save(&buf); err != nil {
+	if err := fresh.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	raw := checkGolden(t, "succinct.img", buf.Bytes())
-
-	back, err := ReadSuccinct(bytes.NewReader(raw))
+	idx, err := Read(layoutSuccinct, bytes.NewReader(loadFrozen(t, "succinct.img", wireVersion)))
 	if err != nil {
-		t.Fatalf("decoding committed fixture: %v", err)
+		t.Fatalf("decoding frozen fixture: %v", err)
+	}
+	back, ok := idx.(*Compressed)
+	if !ok || back.Layout() != LayoutCompressed {
+		t.Fatalf("succinct image loaded as %T", idx)
 	}
 	if back.Generation() != 2 || back.Len() != 5 {
 		t.Fatalf("fixture decoded to gen=%d len=%d, want gen=2 len=5", back.Generation(), back.Len())
 	}
-	res := back.Search(q.Points, 2)
-	if len(res) != 2 || res[0].ID != 1 || res[1].ID != 4 {
-		t.Fatalf("fixture top-2 = %v, want [1 4]", res)
-	}
-	if err := suc.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	for _, probe := range goldenProbes(q) {
 		got, gotStats := back.SearchWithStats(probe, 3)
-		want, wantStats := suc.SearchWithStats(probe, 3)
+		want, wantStats := fresh.SearchWithStats(probe, 3)
 		if len(got) != len(want) {
 			t.Fatalf("fixture result size %d, fresh %d", len(got), len(want))
 		}
@@ -160,6 +159,20 @@ func TestGoldenSuccinctImage(t *testing.T) {
 			t.Fatalf("fixture traversal %+v, fresh %+v", gotStats, wantStats)
 		}
 	}
+}
+
+// loadFrozen reads a committed fixture that -update never rewrites and
+// checks its leading format-version byte.
+func loadFrozen(t *testing.T, name string, version byte) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatalf("missing frozen fixture: %v", err)
+	}
+	if len(raw) == 0 || raw[0] != version {
+		t.Fatalf("%s: expected a version-%d image", name, version)
+	}
+	return raw
 }
 
 func TestGoldenCompressedImage(t *testing.T) {
@@ -203,7 +216,7 @@ func TestGoldenCompressedImage(t *testing.T) {
 			t.Fatalf("fixture traversal %+v, fresh %+v", gotStats, wantStats)
 		}
 	}
-	// Range queries decode from the same fixture (Succinct cannot).
+	// Range queries decode from the same fixture.
 	gotR, err := back.SearchRadiusContext(nil, q.Points, 2.5, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,16 +242,7 @@ func TestGoldenLegacyV1Images(t *testing.T) {
 	if err := tr.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	load := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join("testdata", "golden", name))
-		if err != nil {
-			t.Fatalf("missing frozen v1 fixture: %v", err)
-		}
-		if len(raw) == 0 || raw[0] != 1 {
-			t.Fatalf("%s: expected a version-1 image, got version byte %d", name, raw[0])
-		}
-		return raw
-	}
+	load := func(name string) []byte { return loadFrozen(t, name, 1) }
 	check := func(name string, res []topk.Item, err error) {
 		if err != nil {
 			t.Fatalf("%s: decoding frozen v1 fixture: %v", name, err)
@@ -258,9 +262,13 @@ func TestGoldenLegacyV1Images(t *testing.T) {
 		t.Fatalf("trie_v1.img: %v", err)
 	}
 	check("trie_v1.img", back.Search(q.Points, 2), nil)
-	sback, err := ReadSuccinct(bytes.NewReader(load("succinct_v1.img")))
+	// The retired succinct layout's image loads as compressed.
+	sback, err := Read(layoutSuccinct, bytes.NewReader(load("succinct_v1.img")))
 	if err != nil {
 		t.Fatalf("succinct_v1.img: %v", err)
+	}
+	if sback.Layout() != LayoutCompressed {
+		t.Fatalf("succinct_v1.img loaded as %v", sback.Layout())
 	}
 	check("succinct_v1.img", sback.Search(q.Points, 2), nil)
 	cback, err := ReadCompressed(bytes.NewReader(load("tstat_v1.img")))
@@ -287,17 +295,9 @@ func TestWireVersionRejected(t *testing.T) {
 	}
 	raw[0] ^= 0x80
 
-	suc, err := Compress(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := suc.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sraw := buf.Bytes()
+	sraw := loadFrozen(t, "succinct.img", wireVersion)
 	sraw[0] ^= 0x80
-	if _, err := ReadSuccinct(bytes.NewReader(sraw)); err == nil {
+	if _, err := Read(layoutSuccinct, bytes.NewReader(sraw)); err == nil {
 		t.Fatal("future-version succinct image decoded")
 	} else if !bytes.Contains([]byte(err.Error()), []byte("format version")) {
 		t.Fatalf("want a version diagnostic, got: %v", err)

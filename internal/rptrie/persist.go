@@ -33,8 +33,8 @@ const wireMagic = "RPTRIE1"
 //
 //	1 — original format.
 //	2 — trajectories may carry per-sample timestamps. The pointer and
-//	    succinct images inherit geo.Trajectory.Times through gob's
-//	    field additivity; the compressed image adds explicit
+//	    (retired) succinct images inherit geo.Trajectory.Times through
+//	    gob's field additivity; the compressed image adds explicit
 //	    HasTimes/TimePlanes fields. Version-1 images keep decoding
 //	    (their trajectories simply have no timestamps), which is why
 //	    readWireVersion accepts a range rather than one byte.

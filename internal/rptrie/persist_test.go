@@ -139,132 +139,33 @@ func TestPersistPreservesGeneration(t *testing.T) {
 		t.Errorf("restored Len %d, want %d", back.Len(), trie.Len())
 	}
 
-	suc, err := Compress(trie)
+	cmp, err := CompressTST(trie)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := suc.Save(&buf); err != nil {
+	if err := cmp.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sback, err := ReadSuccinct(&buf)
+	cback, err := ReadCompressed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sback.Generation() != suc.Generation() {
-		t.Errorf("restored succinct generation %d, want %d", sback.Generation(), suc.Generation())
+	if cback.Generation() != cmp.Generation() {
+		t.Errorf("restored compressed generation %d, want %d", cback.Generation(), cmp.Generation())
 	}
 }
 
-// TestSuccinctPersistRoundTrip: the succinct layout round-trips
-// through Save/ReadSuccinct and answers queries identically, with
-// identical traversal work, including with a pending delta (folded
-// into the saved image).
-func TestSuccinctPersistRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	region := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 8, Y: 8}}
-	g, err := grid.NewWithBits(region, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := dist.Params{Epsilon: 0.5, Gap: geo.Point{}}
-	ds := randomDataset(rng, 140)
-	pivots := pivot.Select(ds, 3, 5, dist.Hausdorff, p, 7)
-	for _, cfg := range []Config{
-		{Measure: dist.Hausdorff, Params: p, Grid: g, Pivots: pivots, Optimize: true},
-		{Measure: dist.DTW, Params: p, Grid: g},
-		{Measure: dist.EDR, Params: p, Grid: g},
-	} {
-		trie, err := Build(cfg, ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig, err := Compress(trie)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Stage a pending delta on the original: Save must fold it.
-		if err := orig.Insert(shiftIDs(randomDataset(rng, 6), 10_000)...); err != nil {
-			t.Fatal(err)
-		}
-		orig.Delete(ds[3].ID, ds[7].ID)
-
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, err := ReadSuccinct(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.DeltaLen() != 0 {
-			t.Fatalf("%v: restored delta %d, want folded", cfg.Measure, back.DeltaLen())
-		}
-		// Fold the original's delta too: Save compacted its image, so
-		// the restored core matches the original's *compacted* core —
-		// including traversal statistics, which an overlay would skew.
-		if err := orig.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if back.Len() != orig.Len() {
-			t.Fatalf("%v: Len %d want %d", cfg.Measure, back.Len(), orig.Len())
-		}
-		if back.NumNodes() == 0 || back.NumLeaves() == 0 {
-			t.Fatalf("%v: degenerate restored core", cfg.Measure)
-		}
-		for trial := 0; trial < 6; trial++ {
-			q := randomDataset(rng, 1)[0]
-			got, gotStats := back.SearchWithStats(q.Points, 9)
-			want, wantStats := orig.SearchWithStats(q.Points, 9)
-			if len(got) != len(want) {
-				t.Fatalf("%v: result sizes differ (%d vs %d)", cfg.Measure, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%v: result %d differs: %+v vs %+v", cfg.Measure, i, got[i], want[i])
-				}
-			}
-			if gotStats != wantStats {
-				t.Fatalf("%v: stats differ: %+v vs %+v", cfg.Measure, gotStats, wantStats)
-			}
-		}
-		// The restored index stays live: mutations and compaction work.
-		if err := back.Insert(shiftIDs(randomDataset(rng, 3), 20_000)...); err != nil {
-			t.Fatal(err)
-		}
-		if err := back.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// corruptSuccinct encodes a valid succinct image, hands the decoded
-// wire struct to mutate, and re-encodes it.
+// corruptSuccinct decodes the frozen succinct fixture, hands the wire
+// struct to mutate, and re-encodes it.
 func corruptSuccinct(t *testing.T, mutate func(*wireSuccinct)) *bytes.Buffer {
 	t.Helper()
-	rng := rand.New(rand.NewSource(31))
-	region := geo.Rect{Min: geo.Point{X: 0, Y: 0}, Max: geo.Point{X: 8, Y: 8}}
-	g, err := grid.NewWithBits(region, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trie, err := Build(Config{Measure: dist.Hausdorff, Params: dist.Params{Epsilon: 0.5}, Grid: g}, randomDataset(rng, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	suc, err := Compress(trie)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := suc.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := readWireVersion(&buf); err != nil {
+	raw := bytes.NewReader(loadFrozen(t, "succinct.img", wireVersion))
+	if err := readWireVersion(raw); err != nil {
 		t.Fatal(err)
 	}
 	var ws wireSuccinct
-	if err := gob.NewDecoder(&buf).Decode(&ws); err != nil {
+	if err := gob.NewDecoder(raw).Decode(&ws); err != nil {
 		t.Fatal(err)
 	}
 	mutate(&ws)
@@ -278,13 +179,14 @@ func corruptSuccinct(t *testing.T, mutate func(*wireSuccinct)) *bytes.Buffer {
 	return &out
 }
 
-// TestReadSuccinctErrors: corrupted inputs fail the read with a
-// diagnostic instead of producing an index that breaks at query time.
+// TestReadSuccinctErrors: corrupted images of the retired succinct
+// layout fail the load with a diagnostic instead of producing an
+// index that breaks at query time.
 func TestReadSuccinctErrors(t *testing.T) {
-	if _, err := ReadSuccinct(bytes.NewReader(nil)); err == nil {
+	if _, err := readSuccinctImage(bytes.NewReader(nil)); err == nil {
 		t.Error("empty stream should fail")
 	}
-	if _, err := ReadSuccinct(bytes.NewReader([]byte("garbage bytes"))); err == nil {
+	if _, err := readSuccinctImage(bytes.NewReader([]byte("garbage bytes"))); err == nil {
 		t.Error("garbage should fail")
 	}
 	cases := []struct {
@@ -292,39 +194,23 @@ func TestReadSuccinctErrors(t *testing.T) {
 		mutate func(*wireSuccinct)
 	}{
 		{"bad magic", func(ws *wireSuccinct) { ws.Magic = "XPSUCC1" }},
-		{"unknown leaf trajectory", func(ws *wireSuccinct) { ws.Leaves[0].Tids = []int32{987654} }},
-		{"unsorted alphabet", func(ws *wireSuccinct) {
-			if len(ws.Alphabet) < 2 {
-				t.Skip("alphabet too small for this corruption")
-			}
-			ws.Alphabet[0], ws.Alphabet[1] = ws.Alphabet[1], ws.Alphabet[0]
-		}},
-		{"meta length mismatch", func(ws *wireSuccinct) { ws.Levels[0].Meta = ws.Levels[0].Meta[:len(ws.Levels[0].Meta)-1] }},
-		{"node count mismatch", func(ws *wireSuccinct) { ws.Levels[0].N++ }},
-		{"sparse offset out of range", func(ws *wireSuccinct) {
-			if len(ws.Sparse) == 0 {
-				t.Skip("no sparse tier in this build")
-			}
-			ws.Sparse[len(ws.Sparse)-1] = len(ws.Blob) + 100
-		}},
-		{"descending sparse offsets", func(ws *wireSuccinct) {
-			if len(ws.Sparse) < 2 {
-				t.Skip("sparse tier too small for this corruption")
-			}
-			ws.Sparse[0], ws.Sparse[1] = ws.Sparse[1], ws.Sparse[0]
-		}},
-		{"leaf base out of range", func(ws *wireSuccinct) { ws.Levels[len(ws.Levels)-1].LeafBase = len(ws.Leaves) + 7 }},
 		{"empty trajectory", func(ws *wireSuccinct) { ws.Trajs[0] = &geo.Trajectory{ID: 1} }},
+		{"duplicate trajectory", func(ws *wireSuccinct) { ws.Trajs[1].ID = ws.Trajs[0].ID }},
+		{"invalid timestamps", func(ws *wireSuccinct) { ws.Trajs[0].Times = []int64{1} }},
 		{"bad grid", func(ws *wireSuccinct) { ws.Config.GridBits = -3 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadSuccinct(corruptSuccinct(t, tc.mutate)); err == nil {
+			if _, err := readSuccinctImage(corruptSuccinct(t, tc.mutate)); err == nil {
 				t.Fatalf("%s: corrupted stream decoded successfully", tc.name)
 			} else {
 				t.Logf("%s: %v", tc.name, err)
 			}
 		})
+	}
+	// The unmutated fixture still loads.
+	if _, err := readSuccinctImage(corruptSuccinct(t, func(*wireSuccinct) {})); err != nil {
+		t.Fatalf("re-encoded fixture: %v", err)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // 7th, ...) turns that redundancy into long zero runs the DEFLATE
 // layer removes, which together with the elided core is what makes
 // compressed Snapshot/Restore transfers several times smaller than
-// the succinct layout's gob images.
+// the pointer layout's gob images.
 
 // wireTSTMagic identifies the trit-array wire format.
 const wireTSTMagic = "RPTST1"
@@ -293,12 +293,26 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	if err := decodeTimes(wc.HasTimes, wc.TimePlanes, ordered); err != nil {
 		return nil, err
 	}
-	for _, tr := range ordered {
+	x, err := rebuildCompressed(cfg, wc.Gen, ordered)
+	if err != nil {
+		return nil, err
+	}
+	if core := x.state().core; core.numNodes != wc.NumNodes || core.numLeafs != wc.NumLeafs {
+		return nil, fmt.Errorf("rptrie: rebuilt core has %d nodes, %d leaves; image recorded %d, %d",
+			core.numNodes, core.numLeafs, wc.NumNodes, wc.NumLeafs)
+	}
+	return x, nil
+}
+
+// rebuildCompressed derives the compressed index over a loaded
+// image's trajectories at the image's generation.
+func rebuildCompressed(cfg Config, gen uint64, trajs []*geo.Trajectory) (*Compressed, error) {
+	for _, tr := range trajs {
 		if !tr.ValidTimes() {
 			return nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
 		}
 	}
-	ts, err := buildState(cfg, ordered)
+	ts, err := buildState(cfg, trajs)
 	if err != nil {
 		return nil, fmt.Errorf("rptrie: rebuilding core: %w", err)
 	}
@@ -306,11 +320,52 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rptrie: re-encoding core: %w", err)
 	}
-	if core.numNodes != wc.NumNodes || core.numLeafs != wc.NumLeafs {
-		return nil, fmt.Errorf("rptrie: rebuilt core has %d nodes, %d leaves; image recorded %d, %d",
-			core.numNodes, core.numLeafs, wc.NumNodes, wc.NumLeafs)
-	}
 	x := &Compressed{cfg: cfg}
-	x.cur.Store(&cmpState{gen: wc.Gen, core: core, trajs: ts.trajs})
+	x.cur.Store(&cmpState{gen: gen, core: core, trajs: ts.trajs})
 	return x, nil
+}
+
+// wireSuccMagic identifies an image of the retired two-tier succinct
+// layout.
+const wireSuccMagic = "RPSUCC1"
+
+// wireSuccinct is the part of a succinct image that still matters.
+// Like the compressed core, the succinct core was a deterministic
+// function of (config, trajectories), so its bitmaps and byte
+// sequences are not read (gob skips fields the struct lacks).
+type wireSuccinct struct {
+	Magic  string
+	Config wireConfig
+	Gen    uint64
+	Trajs  []*geo.Trajectory
+}
+
+// readSuccinctImage loads a succinct image as a compressed index at
+// the image's generation.
+func readSuccinctImage(r io.Reader) (*Compressed, error) {
+	if err := readWireVersion(r); err != nil {
+		return nil, err
+	}
+	var ws wireSuccinct
+	if err := gob.NewDecoder(r).Decode(&ws); err != nil {
+		return nil, fmt.Errorf("rptrie: decode: %w", err)
+	}
+	if ws.Magic != wireSuccMagic {
+		return nil, fmt.Errorf("rptrie: bad magic %q", ws.Magic)
+	}
+	cfg, err := configFromWire(ws.Config)
+	if err != nil {
+		return nil, err
+	}
+	seen := make(map[int]bool, len(ws.Trajs))
+	for _, tr := range ws.Trajs {
+		if tr == nil || len(tr.Points) == 0 {
+			return nil, errors.New("rptrie: empty trajectory in stream")
+		}
+		if seen[tr.ID] {
+			return nil, fmt.Errorf("rptrie: duplicate trajectory %d", tr.ID)
+		}
+		seen[tr.ID] = true
+	}
+	return rebuildCompressed(cfg, ws.Gen, ws.Trajs)
 }

@@ -183,7 +183,7 @@ func TestParallelRefineParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		suc, err := Compress(trie)
+		cmp, err := CompressTST(trie)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,12 +204,12 @@ func TestParallelRefineParity(t *testing.T) {
 			if !bitIdentical(seq, par) {
 				t.Fatalf("%v trial %d k=%d: parallel %v != sequential %v", m, trial, k, par, seq)
 			}
-			sucPar, err := suc.SearchContext(context.Background(), q, k, SearchOptions{RefineWorkers: 4})
+			cmpPar, err := cmp.SearchContext(context.Background(), q, k, SearchOptions{RefineWorkers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bitIdentical(seq, sucPar) {
-				t.Fatalf("%v trial %d k=%d: succinct parallel %v != sequential %v", m, trial, k, sucPar, seq)
+			if !bitIdentical(seq, cmpPar) {
+				t.Fatalf("%v trial %d k=%d: compressed parallel %v != sequential %v", m, trial, k, cmpPar, seq)
 			}
 			radius := rng.Float64() * 8
 			seqR, err := trie.SearchRadiusContext(nil, q, radius, SearchOptions{})

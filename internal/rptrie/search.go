@@ -104,8 +104,8 @@ type SearchStats struct {
 	EntriesPushed     int // queue insertions
 }
 
-// searchNode abstracts trie navigation so the pointer layout and the
-// succinct layout share one best-first search implementation. The
+// searchNode abstracts trie navigation so the pointer and compressed
+// layouts share one best-first search implementation. The
 // methods are append/value shaped (no callbacks) so the hot loop
 // builds no closures.
 type searchNode interface {

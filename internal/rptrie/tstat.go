@@ -3,6 +3,7 @@ package rptrie
 import (
 	"errors"
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"sort"
 	"sync"
@@ -16,10 +17,9 @@ import (
 // ("Succinct Trit-array Trie for Scalable Trajectory Similarity
 // Search", arXiv 2005.10917): the whole trie is flattened into BFS
 // node order and every per-node attribute becomes one entry of a
-// packed, rank/select-addressable array. Unlike Succinct's two-tier
-// scheme there is no pointer- or byte-serialized remainder — every
-// level is succinct, so the structural core is a handful of flat
-// arrays that stay cache-resident during search; Snapshot/Restore
+// packed, rank/select-addressable array. There is no pointer- or
+// byte-serialized remainder, so the structural core is a handful of
+// flat arrays that stay cache-resident during search; Snapshot/Restore
 // images omit it entirely and rebuild it on load (persist_tstat.go).
 //
 // Encoding, per BFS node v (root is node 0):
@@ -44,13 +44,13 @@ import (
 //     range (min rounded down into the low nibble, max rounded up
 //     into the high nibble) with a 16-entry float64 decode LUT per
 //     pivot: admissible by construction, 1 byte per pivot instead of
-//     Succinct's 8.
+//     a float32 pair's 8.
 //
 // Terminal payloads live in flat arrays indexed by terminal rank
 // (rank1(lo,v)+rank1(hi,v)); member ids are one shared []int32 sliced
 // by packed offsets, and leaf Dmax is an up-rounded float32.
 //
-// Like Trie and Succinct, a Compressed is a stable handle over an
+// Like Trie, a Compressed is a stable handle over an
 // atomically swapped immutable state: Insert/Delete/Upsert/Compact
 // ride the shared delta overlay (dynamic.go) with snapshot isolation,
 // and Compact rebuilds through the pointer layout and re-encodes.
@@ -351,6 +351,16 @@ func (c *cmpCore) terminalIndex(v int) int {
 	return c.lo.Rank1(v) + c.hi.Rank1(v)
 }
 
+// f32Up converts to float32 rounding toward +Inf so a stored Dmax
+// never shrinks below the exact value.
+func f32Up(v float64) float32 {
+	f := float32(v)
+	if float64(f) < v {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
 // state returns the current immutable snapshot.
 func (x *Compressed) state() *cmpState { return x.cur.Load() }
 
@@ -360,6 +370,12 @@ func (x *Compressed) Generation() uint64 { return x.state().gen }
 
 // DeltaLen returns the number of pending (uncompacted) mutations.
 func (x *Compressed) DeltaLen() int { return x.state().delta.size() }
+
+// Layout reports LayoutCompressed.
+func (x *Compressed) Layout() Layout { return LayoutCompressed }
+
+func (x *Compressed) snapshot() any    { return x.cur.Load() }
+func (x *Compressed) restore(snap any) { x.cur.Store(snap.(*cmpState)) }
 
 // NumNodes returns the node count inherited from the source trie.
 func (x *Compressed) NumNodes() int { return x.state().core.numNodes }

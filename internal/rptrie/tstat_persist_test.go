@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -221,5 +222,26 @@ func TestReadCompressedErrors(t *testing.T) {
 				t.Logf("%s: %v", tc.name, err)
 			}
 		})
+	}
+}
+
+// TestCompressNil: compressing a nil trie fails cleanly.
+func TestCompressNil(t *testing.T) {
+	if _, err := CompressTST(nil); err == nil {
+		t.Error("expected error for nil trie")
+	}
+}
+
+// TestDirectedRounding: the float32 leaf Dmax rounds up, never below
+// the exact value, so the bounds built on it stay admissible.
+func TestDirectedRounding(t *testing.T) {
+	vals := []float64{0, 1, math.Pi, 1e-40, 1e30, -math.Pi, 0.1, 1.0000000001}
+	for _, v := range vals {
+		if float64(f32Up(v)) < v {
+			t.Errorf("f32Up(%v) = %v rounded down", v, f32Up(v))
+		}
+	}
+	if !math.IsInf(float64(f32Up(math.Inf(-1))), -1) {
+		t.Error("f32Up(-Inf) should stay -Inf")
 	}
 }

@@ -168,8 +168,7 @@ func (x *Compressed) LiveIDs() []int {
 
 // SearchRadius returns every indexed trajectory within distance
 // radius of q, ascending by (distance, id); see Trie.SearchRadius.
-// Unlike Succinct, the compressed layout supports range queries: the
-// walk navigates node ids directly.
+// The walk navigates node ids directly.
 func (x *Compressed) SearchRadius(q []geo.Point, radius float64) []topk.Item {
 	out, _ := x.SearchRadiusContext(nil, q, radius, SearchOptions{})
 	return out

@@ -32,7 +32,7 @@ func TestOnlineUpdatesPublicAPI(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 
-	for _, layout := range []Layout{LayoutPointer, LayoutSuccinct, LayoutCompressed} {
+	for _, layout := range []Layout{LayoutPointer, LayoutCompressed} {
 		opts := Options{Partitions: 4, Layout: layout}
 		local, err := Build(ds, opts)
 		if err != nil {

@@ -11,8 +11,6 @@ import (
 
 func TestSearchRadiusPublicAPI(t *testing.T) {
 	ds := testData(t, 150)
-	// Range search is supported by the pointer and compressed layouts
-	// (succinct declines; see TestPublicAPIErrors).
 	for _, layout := range []Layout{LayoutPointer, LayoutCompressed} {
 		idx, err := Build(ds, Options{Partitions: 4}, WithLayout(layout))
 		if err != nil {

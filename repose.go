@@ -79,31 +79,33 @@ type QueryReport = cluster.QueryReport
 type BatchReport = cluster.BatchReport
 
 // Layout selects the in-memory representation of each partition's
-// RP-Trie. All layouts answer top-k queries bit-identically; they
-// trade memory for search speed and feature coverage:
+// RP-Trie. Both layouts answer every query bit-identically and support
+// the full surface (top-k, SearchRadius, SearchSub, online updates);
+// they trade memory for search speed:
 //
-//   - LayoutPointer: the plain pointer trie. Fastest to mutate,
-//     largest footprint, supports SearchRadius.
-//   - LayoutSuccinct: the two-tier bitmap layout (Section III-B).
-//     Smaller, near-pointer search speed, no SearchRadius.
+//   - LayoutPointer: the plain pointer trie. Fastest to search and to
+//     mutate, largest footprint.
 //   - LayoutCompressed: the trit-array (tSTAT-style) layout —
 //     rank/select bitvectors, packed node metadata, quantized pivot
-//     ranges. Smallest by a wide margin, search within a small factor
-//     of succinct, supports SearchRadius, and ships the cheapest
-//     failover snapshots.
+//     ranges. Several times smaller, somewhat slower top-k, and the
+//     cheapest failover snapshots.
+//
+// The two-tier succinct layout of Section III-B is retired: its
+// numeric value 1 stays reserved, Build rejects it (and any other
+// unknown value) with ErrUnknownLayout, and indexes and durable
+// directories saved with it load as LayoutCompressed.
 type Layout = rptrie.Layout
 
 // The available per-partition index layouts.
 const (
 	LayoutPointer    = rptrie.LayoutPointer
-	LayoutSuccinct   = rptrie.LayoutSuccinct
 	LayoutCompressed = rptrie.LayoutCompressed
 )
 
-// ParseLayout maps a layout name ("pointer"/"trie", "succinct",
+// ParseLayout maps a layout name ("pointer"/"trie",
 // "compressed"/"tstat", or empty for the default) to its Layout. The
-// repose-worker and repose-query binaries use it for their -layout
-// flags.
+// repose-worker, repose-query and repose-serve binaries use it for
+// their -layout flags.
 func ParseLayout(s string) (Layout, error) { return rptrie.ParseLayout(s) }
 
 // Strategy selects the global partitioning strategy.
@@ -151,17 +153,8 @@ type Options struct {
 	NoRearrange bool
 
 	// Layout selects each partition's index representation (default
-	// LayoutPointer). WithLayout sets it as a build option. Succinct
-	// indexes do not support SearchRadius: it returns
-	// ErrSuccinctUnsupported.
+	// LayoutPointer). WithLayout sets it as a build option.
 	Layout Layout
-
-	// Succinct compresses each partition trie into the two-tier
-	// bitmap/byte-sequence layout (Section III-B).
-	//
-	// Deprecated: set Layout to LayoutSuccinct. Honored only when
-	// Layout is LayoutPointer (the zero value).
-	Succinct bool
 
 	// Workers caps build/query parallelism (default GOMAXPROCS).
 	Workers int
@@ -248,15 +241,6 @@ func WithAutoRebalance(interval time.Duration) BuildOption {
 //	idx, err := repose.Build(ds, repose.Options{}, repose.WithLayout(repose.LayoutCompressed))
 func WithLayout(l Layout) BuildOption {
 	return func(o *Options) { o.Layout = l }
-}
-
-// layout resolves the effective layout, honoring the deprecated
-// Succinct flag when Layout was left at its zero value.
-func (o Options) layout() Layout {
-	if o.Layout == LayoutPointer && o.Succinct {
-		return LayoutSuccinct
-	}
-	return o.Layout
 }
 
 // Engine is the backend executing an Index's queries. It is a sealed
@@ -365,7 +349,7 @@ func (o Options) spec(ds []*Trajectory, region geo.Rect) cluster.IndexSpec {
 		Delta:     o.Delta,
 		Pivots:    pivots,
 		Optimize:  !o.NoRearrange && o.Measure.OrderIndependent(),
-		Layout:    o.layout(),
+		Layout:    o.Layout,
 		Strategy:  o.Strategy,
 		Seed:      o.Seed,
 		Replicas:  o.Replication,
@@ -613,7 +597,7 @@ func (x *Index) Search(ctx context.Context, q *Trajectory, k int, opts ...QueryO
 // trajectory; distances are exact segment distances under the index's
 // measure. Compose with WithSegmentLength to bound the segment size
 // and WithTimeWindow to restrict matching to a time window. Refined
-// queries require an RP-Trie layout (any of the three); baseline
+// queries require an RP-Trie layout (either one); baseline
 // algorithms reject them.
 func (x *Index) SearchSub(ctx context.Context, q *Trajectory, k int, opts ...QueryOption) ([]Result, error) {
 	if err := x.check(points(q)); err != nil {
@@ -633,17 +617,13 @@ func (x *Index) SearchSub(ctx context.Context, q *Trajectory, k int, opts ...Que
 
 // SearchRadius returns every indexed trajectory within the given
 // distance of q, ascending by (distance, id) — the range-query
-// counterpart of Search. Succinct indexes return
-// ErrSuccinctUnsupported.
+// counterpart of Search.
 func (x *Index) SearchRadius(ctx context.Context, q *Trajectory, radius float64, opts ...QueryOption) ([]Result, error) {
 	if err := x.check(points(q)); err != nil {
 		return nil, err
 	}
 	if radius < 0 {
 		return nil, ErrBadRadius
-	}
-	if x.opts.layout() == LayoutSuccinct {
-		return nil, ErrSuccinctUnsupported
 	}
 	qc := applyQueryOptions(opts)
 	items, rep, err := x.eng.exec().SearchRadius(ctx, q.Points, radius, x.clusterOptions(qc))
@@ -692,7 +672,7 @@ func (x *Index) Stats() Stats {
 		Partitions:          eng.NumPartitions(),
 		IndexBytes:          total,
 		BuildTime:           eng.BuildTime(),
-		Layout:              x.opts.layout(),
+		Layout:              x.opts.Layout,
 		PartitionIndexBytes: perPart,
 		Generations:         eng.Generations(),
 		PartitionLoads:      x.LoadStats(),
@@ -770,7 +750,7 @@ type WorkerOptions struct {
 	DataDir string
 
 	// Layout, when non-empty, forces every REPOSE partition this
-	// worker builds to the named index layout ("pointer", "succinct",
+	// worker builds to the named index layout ("pointer" or
 	// "compressed" — see ParseLayout), overriding the driver's build
 	// spec. All layouts answer queries bit-identically, so a
 	// memory-constrained worker in a heterogeneous fleet can run

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repose/internal/dataset"
@@ -115,15 +116,6 @@ func TestSentinelErrors(t *testing.T) {
 		t.Errorf("batch k<0: %v", err)
 	}
 
-	// Succinct indexes decline range search with a typed error.
-	suc, err := Build(ds, Options{Partitions: 2, Succinct: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := suc.SearchRadius(ctx, ds[0], 1); !errors.Is(err, ErrSuccinctUnsupported) {
-		t.Errorf("succinct radius: %v", err)
-	}
-
 	// Every query path reports ErrClosed after Close, idempotently.
 	if err := idx.Close(); err != nil {
 		t.Fatal(err)
@@ -158,7 +150,6 @@ func TestOptionVariants(t *testing.T) {
 		{Partitions: 3, Strategy: Homogeneous},
 		{Partitions: 3, Strategy: Random},
 		{Partitions: 3, NoRearrange: true},
-		{Partitions: 3, Succinct: true},
 		{Partitions: 3, Layout: LayoutCompressed},
 		{Partitions: 3, Pivots: -1},
 		{Partitions: 3, Pivots: 2},
@@ -274,7 +265,7 @@ func TestQueryOptions(t *testing.T) {
 func TestStatsMemoryAccounting(t *testing.T) {
 	ds := testData(t, 200)
 	totals := map[Layout]int{}
-	for _, layout := range []Layout{LayoutPointer, LayoutSuccinct, LayoutCompressed} {
+	for _, layout := range []Layout{LayoutPointer, LayoutCompressed} {
 		idx, err := Build(ds, Options{Partitions: 3}, WithLayout(layout))
 		if err != nil {
 			t.Fatal(err)
@@ -298,9 +289,8 @@ func TestStatsMemoryAccounting(t *testing.T) {
 		}
 		totals[layout] = st.IndexBytes
 	}
-	if totals[LayoutCompressed] >= totals[LayoutSuccinct] || totals[LayoutSuccinct] >= totals[LayoutPointer] {
-		t.Errorf("footprints not ordered: pointer=%d succinct=%d compressed=%d",
-			totals[LayoutPointer], totals[LayoutSuccinct], totals[LayoutCompressed])
+	if totals[LayoutCompressed] >= totals[LayoutPointer] {
+		t.Errorf("footprints not ordered: pointer=%d compressed=%d", totals[LayoutPointer], totals[LayoutCompressed])
 	}
 }
 
@@ -315,59 +305,35 @@ func TestDistanceHelpers(t *testing.T) {
 	}
 }
 
-// TestDeprecatedShims keeps the pre-context API compiling and
-// correct for one release.
-func TestDeprecatedShims(t *testing.T) {
-	ds := testData(t, 150)
-	idx, err := Build(ds, Options{Partitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ds[33]
-	want, err := idx.Search(context.Background(), q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := idx.SearchPoints(q.Points, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("SearchPoints rank %d: %+v want %+v", i, got[i], want[i])
+// TestBuildRejectsUnknownLayout: a layout value that names no
+// supported layout — the retired succinct layout's 1 or a value never
+// assigned — fails the build, locally with ErrUnknownLayout and on
+// loopback workers with their refusal, instead of silently building
+// pointer tries. The layout names are validated the same way.
+func TestBuildRejectsUnknownLayout(t *testing.T) {
+	ds := testData(t, 60)
+	addrs := startTestWorkers(t, 2)
+	for _, l := range []Layout{Layout(1), Layout(7)} {
+		if _, err := Build(ds, Options{Partitions: 2, Layout: l}); !errors.Is(err, ErrUnknownLayout) {
+			t.Errorf("Build with %v: %v, want ErrUnknownLayout", l, err)
+		}
+		if _, err := Build(ds, Options{Partitions: 2}, WithLayout(l), WithDurableDir(t.TempDir())); !errors.Is(err, ErrUnknownLayout) {
+			t.Errorf("durable Build with %v: %v, want ErrUnknownLayout", l, err)
+		}
+		idx, err := BuildRemote(ds, Options{Partitions: 2, Layout: l}, addrs)
+		if err == nil {
+			idx.Close()
+			t.Errorf("BuildRemote with %v succeeded", l)
+		} else if !strings.Contains(err.Error(), "unknown layout") {
+			t.Errorf("BuildRemote with %v: %v, want the workers' unknown-layout refusal", l, err)
 		}
 	}
-
-	ready := make(chan string, 2)
-	for i := 0; i < 2; i++ {
-		go ServeWorker("127.0.0.1:0", func(addr string) { ready <- addr })
+	_, err := ParseLayout("succinct")
+	if !errors.Is(err, ErrUnknownLayout) || !strings.Contains(err.Error(), "pointer|compressed") {
+		t.Errorf(`ParseLayout("succinct") = %v, want ErrUnknownLayout naming pointer|compressed`, err)
 	}
-	addrs := []string{<-ready, <-ready}
-	ci, err := BuildCluster(ds, Options{Partitions: 4}, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ci.Close()
-	cres, err := ci.Search(q, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cres {
-		if cres[i] != want[i] {
-			t.Fatalf("ClusterIndex rank %d: %+v want %+v", i, cres[i], want[i])
-		}
-	}
-	st := ci.Stats()
-	if st.Trajectories != 150 || st.Partitions != 4 {
-		t.Errorf("stats = %+v", st)
-	}
-	if _, err := ci.Search(nil, 3); !errors.Is(err, ErrEmptyQuery) {
-		t.Errorf("nil query: %v", err)
-	}
-	if _, err := ci.Search(q, 0); !errors.Is(err, ErrBadK) {
-		t.Errorf("k=0: %v", err)
-	}
-	if _, err := BuildCluster(nil, Options{}, addrs); err == nil {
-		t.Error("empty dataset should fail")
+	werr := ServeWorkerOptions(context.Background(), "127.0.0.1:0", WorkerOptions{Layout: "succinct"}, nil)
+	if !errors.Is(werr, ErrUnknownLayout) {
+		t.Errorf("worker -layout succinct: %v, want ErrUnknownLayout", werr)
 	}
 }
