@@ -158,7 +158,7 @@ func benchQueries(b *testing.B, eng *cluster.Local, queries []*geo.Trajectory, k
 // benchTrie builds one single-partition pointer-layout trie over the
 // whole benchmark dataset — the hot path the zero-allocation
 // guarantee is stated for.
-func benchTrie(b *testing.B, w *world, name string, m dist.Measure) *rptrie.Trie {
+func benchTrie(b *testing.B, w *world, name string, m dist.Measure) *rptrie.Index {
 	b.Helper()
 	region := w.spec.Region()
 	g, err := grid.New(region, defaultDelta(name))
@@ -306,7 +306,7 @@ func BenchmarkSearch(b *testing.B) {
 func BenchmarkSearchAfterInserts(b *testing.B) {
 	w := getWorld(b, "T-drive")
 	const pending = 64
-	run := func(b *testing.B, trie *rptrie.Trie) {
+	run := func(b *testing.B, trie *rptrie.Index) {
 		var out []repose.Result
 		for _, q := range w.queries { // warm the pooled scratch
 			out = trie.SearchAppend(out[:0], q.Points, benchK)
@@ -321,7 +321,7 @@ func BenchmarkSearchAfterInserts(b *testing.B) {
 			b.Fatal("empty result")
 		}
 	}
-	mutate := func(b *testing.B, trie *rptrie.Trie) {
+	mutate := func(b *testing.B, trie *rptrie.Index) {
 		rng := rand.New(rand.NewSource(77))
 		fresh := make([]*geo.Trajectory, pending)
 		for i := range fresh {
@@ -354,7 +354,7 @@ func BenchmarkSearchAfterInserts(b *testing.B) {
 }
 
 // BenchmarkSearchRadius times the range-query path on the engine and
-// on the single-partition trie.
+// on a single-partition index in each layout.
 func BenchmarkSearchRadius(b *testing.B) {
 	w := getWorld(b, "T-drive")
 	radius := w.spec.Region().Max.Dist(w.spec.Region().Min) / 8
@@ -373,14 +373,28 @@ func BenchmarkSearchRadius(b *testing.B) {
 			}
 		}
 	})
-	b.Run("trie", func(b *testing.B) {
-		trie := benchTrie(b, w, "T-drive", dist.Hausdorff)
+	// The trie arms run the one radius walk over each layout's core.
+	// CI caps both at 2 allocs/op (the caller's copy of the result and
+	// the walk's query state, which escapes), so a per-node allocation
+	// in the walk shows up at once.
+	arm := func(b *testing.B, idx *rptrie.Index) {
+		for _, q := range w.queries { // warm the pooled scratch
+			_ = idx.SearchRadius(q.Points, radius)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			q := w.queries[i%len(w.queries)]
-			_ = trie.SearchRadius(q.Points, radius)
+			_ = idx.SearchRadius(q.Points, radius)
 		}
+	}
+	b.Run("trie", func(b *testing.B) { arm(b, benchTrie(b, w, "T-drive", dist.Hausdorff)) })
+	b.Run("compressed", func(b *testing.B) {
+		cmp, err := rptrie.CompressTST(benchTrie(b, w, "T-drive", dist.Hausdorff))
+		if err != nil {
+			b.Fatal(err)
+		}
+		arm(b, cmp)
 	})
 }
 

@@ -67,7 +67,7 @@ func runBenchSub(outPath, baselinePath, dsName string, scale float64, k int) err
 		return err
 	}
 	params := dist.Params{Epsilon: dist.DefaultParams(region).Epsilon, Gap: region.Min}
-	buildTrie := func(m dist.Measure) (*rptrie.Trie, error) {
+	buildTrie := func(m dist.Measure) (*rptrie.Index, error) {
 		var pivots []*geo.Trajectory
 		if m.IsMetric() {
 			pivots = pivot.Select(ds, 5, pivot.DefaultGroups, m, params, 13)

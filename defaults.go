@@ -23,8 +23,8 @@ var (
 	ErrEmptyQuery = errors.New("repose: empty query")
 	// ErrBadK rejects a non-positive result size k.
 	ErrBadK = errors.New("repose: k must be positive")
-	// ErrBadRadius rejects a negative search radius.
-	ErrBadRadius = errors.New("repose: negative radius")
+	// ErrBadRadius rejects a negative or NaN search radius.
+	ErrBadRadius = errors.New("repose: negative or NaN radius")
 	// ErrClosed rejects queries on a closed Index.
 	ErrClosed = errors.New("repose: index closed")
 	// ErrUnknownLayout rejects a build whose Options.Layout is neither

@@ -18,10 +18,10 @@ import (
 
 // Disk-backed partitions: when an engine or worker is given a data
 // directory, every REPOSE partition index lives in its own
-// subdirectory ("p<pid>") as an rptrie.Durable — checkpoint image +
-// WAL on the page store. A restarted process recovers each partition
-// from its own log (OpenDurable) instead of rebuilding from the
-// dataset or streaming an image from a peer; the driver's failure
+// subdirectory ("p<pid>") as a durable rptrie.Index — checkpoint
+// image + WAL on the page store. A restarted process recovers each
+// partition from its own log (OpenDurable) instead of rebuilding from
+// the dataset or streaming an image from a peer; the driver's failure
 // detector only falls back to Worker.Restore when the recovered
 // generation is behind the authoritative one. Baseline indexes have
 // no persistence and pass through unchanged.
@@ -45,30 +45,31 @@ func parsePartDir(name string) (int, bool) {
 // whatever the partition's subdirectory held. Non-REPOSE indexes
 // (baselines) pass through unchanged — they have no persistence.
 func wrapDurablePartition(dataDir string, pid int, idx LocalIndex) (LocalIndex, error) {
-	ri, ok := idx.(rptrie.Index)
+	ri, ok := idx.(*rptrie.Index)
 	if !ok {
 		return idx, nil
 	}
-	d, err := rptrie.WrapDurable(filepath.Join(dataDir, partDirName(pid)), ri, rptrie.DurableOptions{})
-	if err != nil {
+	if _, err := rptrie.WrapDurable(filepath.Join(dataDir, partDirName(pid)), ri, rptrie.DurableOptions{}); err != nil {
 		return nil, fmt.Errorf("cluster: partition %d durable install: %w", pid, err)
 	}
-	return d, nil
+	return ri, nil
 }
 
 // closeDurable closes idx's disk store when it has one.
 func closeDurable(idx LocalIndex) {
-	if d, ok := idx.(*rptrie.Durable); ok {
-		d.Close()
+	if ri, ok := idx.(*rptrie.Index); ok {
+		ri.Close()
 	}
 }
 
 // destroyDurable closes idx and wipes its on-disk store so a future
 // recovery scan does not resurrect a partition the driver dropped.
 func destroyDurable(idx LocalIndex) {
-	if d, ok := idx.(*rptrie.Durable); ok {
-		d.Close()
-		storage.Destroy(d.Dir(), nil)
+	if ri, ok := idx.(*rptrie.Index); ok {
+		if dir := ri.Dir(); dir != "" {
+			ri.Close()
+			storage.Destroy(dir, nil)
+		}
 	}
 }
 
@@ -76,13 +77,13 @@ func destroyDurable(idx LocalIndex) {
 // under dataDir. Subdirectories that never reached a first checkpoint
 // recover nothing (the driver rebuilds or restores them); anything
 // else failing to open is a real error.
-func recoverDurablePartitions(dataDir string) (map[int]*rptrie.Durable, error) {
+func recoverDurablePartitions(dataDir string) (map[int]*rptrie.Index, error) {
 	fs := storage.OSFS{}
 	names, err := fs.ReadDir(dataDir)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: data dir scan: %w", err)
 	}
-	out := make(map[int]*rptrie.Durable)
+	out := make(map[int]*rptrie.Index)
 	for _, name := range names {
 		pid, ok := parsePartDir(name)
 		if !ok {
@@ -195,7 +196,7 @@ func OpenLocalDurable(spec IndexSpec, numPartitions, workers int, dataDir string
 func recoveredDirectory(spec IndexSpec, indexes []LocalIndex) (*directory, error) {
 	d := &directory{loc: make(map[int32]int), spec: spec}
 	for pid, idx := range indexes {
-		if ri, ok := idx.(rptrie.Index); ok {
+		if ri, ok := idx.(*rptrie.Index); ok {
 			ids := ri.LiveIDs()
 			sort.Ints(ids)
 			for _, id := range ids {

@@ -135,7 +135,7 @@ func testLegacySuccinctDir(t *testing.T) {
 	}
 	defer eng.Close()
 	for pid, idx := range eng.Indexes() {
-		if l := idx.(rptrie.Index).Layout(); l != rptrie.LayoutCompressed {
+		if l := idx.(*rptrie.Index).Layout(); l != rptrie.LayoutCompressed {
 			t.Fatalf("partition %d recovered as %v", pid, l)
 		}
 	}

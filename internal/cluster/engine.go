@@ -157,7 +157,7 @@ const autoCompactFloor = 32
 
 // maybeCompact applies the MutateOptions.AutoCompact policy to one
 // partition index after a mutation.
-func maybeCompact(m rptrie.Index, frac float64) error {
+func maybeCompact(m *rptrie.Index, frac float64) error {
 	if frac <= 0 {
 		return nil
 	}
@@ -201,7 +201,7 @@ func refinerFor(pi int, idx LocalIndex, spec rptrie.RefineSpec) (rptrie.Refiner,
 	if spec.IsZero() {
 		return nil, nil
 	}
-	c, ok := idx.(rptrie.Index)
+	c, ok := idx.(*rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("cluster: partition %d index (%T) does not support refined queries", pi, idx)
 	}
@@ -222,7 +222,7 @@ func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k i
 		return nil, err
 	}
 	sopt := rptrie.SearchOptions{NoPivots: opt.NoPivots, RefineWorkers: opt.RefineWorkers, MinGen: opt.minGen(gpid), Stats: stats, Refiner: ref, Shared: shared}
-	if ri, ok := idx.(rptrie.Index); ok {
+	if ri, ok := idx.(*rptrie.Index); ok {
 		return ri.SearchContext(ctx, q, k, sopt)
 	}
 	// Baselines are immutable: generation pins are vacuous.
@@ -237,7 +237,7 @@ func searchOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, k i
 // budget's pruning test. An rptrie.Index runs a bounded best-first
 // walk (BoundContext); the baselines return 0, which never prunes.
 func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt QueryOptions) (float64, error) {
-	b, ok := idx.(rptrie.Index)
+	b, ok := idx.(*rptrie.Index)
 	if !ok {
 		return 0, nil
 	}
@@ -252,7 +252,7 @@ func boundOne(ctx context.Context, gpid int, idx LocalIndex, q []geo.Point, opt 
 // range support (the baselines) are rejected, naming the partition so
 // mixed-index failures are diagnosable.
 func radiusOne(ctx context.Context, pi, gpid int, idx LocalIndex, q []geo.Point, radius float64, opt QueryOptions) ([]topk.Item, error) {
-	ri, ok := idx.(rptrie.Index)
+	ri, ok := idx.(*rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("cluster: partition %d index (%T) does not support radius search", pi, idx)
 	}

@@ -438,7 +438,7 @@ func (c *Local) Generations() []uint64 {
 	parts := c.parts()
 	gens := make([]uint64, len(parts))
 	for i, idx := range parts {
-		if m, ok := idx.(rptrie.Index); ok {
+		if m, ok := idx.(*rptrie.Index); ok {
 			gens[i] = m.Generation()
 		}
 	}
@@ -528,7 +528,7 @@ func (c *Local) PartitionIndexBytes() []int {
 	out := make([]int, len(parts))
 	for i, idx := range parts {
 		gen := uint64(0)
-		if m, ok := idx.(rptrie.Index); ok {
+		if m, ok := idx.(*rptrie.Index); ok {
 			gen = m.Generation()
 		}
 		if e := c.sizes[i]; e.valid && e.gen == gen {

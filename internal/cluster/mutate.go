@@ -210,9 +210,9 @@ func sortedKeys[V any](m map[int]V) []int {
 }
 
 // mutable resolves partition pi's index as a mutable rptrie.Index.
-func (c *Local) mutable(pi int) (rptrie.Index, error) {
+func (c *Local) mutable(pi int) (*rptrie.Index, error) {
 	idx := c.parts()[pi]
-	m, ok := idx.(rptrie.Index)
+	m, ok := idx.(*rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pi, idx)
 	}

@@ -228,7 +228,7 @@ func TestAutoCompactThreshold(t *testing.T) {
 	if _, err := local.Insert(ctx, freshTrajs(rng, 90_000, 8), MutateOptions{AutoCompact: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	m := local.Indexes()[0].(rptrie.Index)
+	m := local.Indexes()[0].(*rptrie.Index)
 	if m.DeltaLen() == 0 {
 		t.Fatal("tiny delta should not have compacted")
 	}
@@ -261,7 +261,7 @@ func TestDeleteRepairsDirectoryDesync(t *testing.T) {
 	// without going through the engine (as if the driver lost the
 	// RPC's reply after the worker applied it).
 	ghost := &geo.Trajectory{ID: 555_555, Points: []geo.Point{{X: 1, Y: 1}, {X: 2, Y: 2}}}
-	if err := local.Indexes()[1].(rptrie.Index).Insert(ghost); err != nil {
+	if err := local.Indexes()[1].(*rptrie.Index).Insert(ghost); err != nil {
 		t.Fatal(err)
 	}
 	got, _, err := local.Search(ctx, ghost.Points, 1, QueryOptions{})

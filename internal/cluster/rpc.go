@@ -468,7 +468,7 @@ func (w *Worker) RecoveredPartitions() []int {
 	defer w.mu.Unlock()
 	var pids []int
 	for pid, idx := range w.indexes {
-		if _, ok := idx.(*rptrie.Durable); ok {
+		if ri, ok := idx.(*rptrie.Index); ok && ri.Dir() != "" {
 			pids = append(pids, pid)
 		}
 	}
@@ -773,14 +773,14 @@ func (w *Worker) SearchBatch(args *SearchBatchArgs, reply *SearchBatchReply) err
 }
 
 // ownedMutable resolves one owned partition's index as mutable.
-func (w *Worker) ownedMutable(pid int) (rptrie.Index, error) {
+func (w *Worker) ownedMutable(pid int) (*rptrie.Index, error) {
 	w.mu.Lock()
 	idx := w.indexes[pid]
 	w.mu.Unlock()
 	if idx == nil {
 		return nil, fmt.Errorf("cluster: worker "+notOwnerMsg+" %d", pid)
 	}
-	m, ok := idx.(rptrie.Index)
+	m, ok := idx.(*rptrie.Index)
 	if !ok {
 		return nil, fmt.Errorf("%w (partition %d, %T)", ErrImmutable, pid, idx)
 	}
@@ -900,7 +900,7 @@ func (w *Worker) Status(args *StatusArgs, reply *StatusReply) error {
 	reply.Lens = make(map[int]int, len(w.indexes))
 	for pid, idx := range w.indexes {
 		gen := uint64(0)
-		if m, ok := idx.(rptrie.Index); ok {
+		if m, ok := idx.(*rptrie.Index); ok {
 			gen = m.Generation()
 		}
 		reply.Gens[pid] = gen
@@ -942,7 +942,7 @@ var errNoSnapshot = errors.New("cluster: index does not support snapshots")
 // in) with its layout and generation — the payload of Snapshot and
 // the first half of a clone.
 func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
-	ri, ok := idx.(rptrie.Index)
+	ri, ok := idx.(*rptrie.Index)
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("%w (%T)", errNoSnapshot, idx)
 	}
@@ -954,10 +954,10 @@ func encodeIndex(idx LocalIndex) ([]byte, rptrie.Layout, uint64, error) {
 }
 
 // cloneLocalIndex deep-copies an index through a Save/Read round trip,
-// preserving layout and generation. A Durable source clones to its
-// in-memory layout; the caller decides whether the clone gets its own
+// preserving layout and generation. A durable source clones to an
+// in-memory index; the caller decides whether the clone gets its own
 // store.
-func cloneLocalIndex(idx LocalIndex) (rptrie.Index, error) {
+func cloneLocalIndex(idx LocalIndex) (*rptrie.Index, error) {
 	data, layout, _, err := encodeIndex(idx)
 	if err != nil {
 		return nil, err
@@ -999,15 +999,6 @@ func (w *Worker) Restore(args *RestoreArgs, reply *RestoreReply) error {
 	w.mu.Unlock()
 	reply.Gen = gen
 	reply.Len = idx.Len()
-	return nil
-}
-
-// liveIDs lists an index's live trajectory ids, nil when the index
-// cannot enumerate them (baselines).
-func liveIDs(idx LocalIndex) []int {
-	if l, ok := idx.(interface{ LiveIDs() []int }); ok {
-		return l.LiveIDs()
-	}
 	return nil
 }
 

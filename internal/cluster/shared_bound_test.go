@@ -209,7 +209,7 @@ func TestSharedBoundCutsRefinement(t *testing.T) {
 		for pi, idx := range idxs {
 			engine += refined[pi]
 			var st rptrie.SearchStats
-			if _, err := idx.(*rptrie.Trie).SearchContext(ctx, q.Points, k, rptrie.SearchOptions{Stats: &st}); err != nil {
+			if _, err := idx.(*rptrie.Index).SearchContext(ctx, q.Points, k, rptrie.SearchOptions{Stats: &st}); err != nil {
 				t.Fatal(err)
 			}
 			alone += int64(st.ExactComputations)

@@ -14,9 +14,9 @@ import (
 	"repose/internal/topk"
 )
 
-// LocalIndex is a per-partition index. Every rptrie.Index and the
-// three baselines satisfy it; the cluster reaches the rptrie layouts'
-// query, mutation and snapshot surface by asserting rptrie.Index.
+// LocalIndex is a per-partition index. *rptrie.Index and the three
+// baselines satisfy it; the cluster reaches the REPOSE index's query,
+// mutation and snapshot surface by asserting *rptrie.Index.
 type LocalIndex interface {
 	// Search answers a partition-local top-k query.
 	Search(q []geo.Point, k int) []topk.Item
@@ -27,7 +27,7 @@ type LocalIndex interface {
 }
 
 var (
-	_ LocalIndex = rptrie.Index(nil)
+	_ LocalIndex = (*rptrie.Index)(nil)
 	_ LocalIndex = (*ls.Index)(nil)
 	_ LocalIndex = (*dft.Index)(nil)
 	_ LocalIndex = (*dita.Index)(nil)

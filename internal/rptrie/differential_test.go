@@ -94,7 +94,7 @@ func runDifferentialCase(t *testing.T, layout string, m dist.Measure, p dist.Par
 		diffAssertTopK(t, ctx, m, p, mirror, q.Points, k, idx.Search(q.Points, k))
 		if rng.Intn(4) == 0 {
 			radius := 0.2 + rng.Float64()*3
-			got, err := idx.(Index).SearchRadiusContext(nil, q.Points, radius, SearchOptions{})
+			got, err := idx.SearchRadiusContext(nil, q.Points, radius, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: radius: %v", ctx, err)
 			}

@@ -20,29 +20,39 @@
 // cost; range search (SearchRadius) is provided as an extension beyond
 // the paper.
 //
-// # One interface, two layouts
+// # One handle, two cores
 //
-// Index is the surface every partition index answers: *Trie (the
-// pointer layout), *Compressed, and *Durable, the disk-backed wrapper
-// of either. Layout names the in-memory layout; BuildLayout builds one
-// and Read loads a saved image of one. The paper's two-tier layout
-// (rank-addressable bitmaps for the dense upper levels, lazily decoded
-// byte sequences for the sparse lower ones) shipped here as the
-// succinct layout until the compressed layout beat it on memory (4.3×
-// smaller), allocations (0 against 927 per search) and features
-// (radius search); only its top-k was faster, by about 20%, and the
-// pointer layout is faster still. It is retired. Its Layout value 1
-// stays reserved, and its images — snapshots and durable checkpoints —
-// still load: the core of either layout is a deterministic function of
-// (config, trajectories), so Read decodes only those and rebuilds the
-// image as compressed at the same generation.
+// Index is the one partition-index handle. It holds an atomically
+// swapped immutable state whose core is the pointer trie (Build) or
+// its trit-array encoding (CompressTST); Layout names which.
+// BuildLayout builds either and Read loads a saved image of either.
+// Both cores present their nodes to the searchers through one
+// interface (searchNode), so the best-first top-k search, the bound
+// walk and the depth-first radius walk are each written once, and so
+// are Insert, Delete, Upsert and Compact. Durability is an option of
+// the same handle: BuildDurable, WrapDurable and OpenDurable attach a
+// write-ahead log (durable.go) that every mutation journals to before
+// it is acknowledged.
+//
+// The paper's two-tier layout (rank-addressable bitmaps for the dense
+// upper levels, lazily decoded byte sequences for the sparse lower
+// ones) shipped here as the succinct layout until the compressed
+// layout beat it on memory (4.3× smaller), allocations (0 against 927
+// per search) and features (radius search); only its top-k was
+// faster, by about 20%, and the pointer layout is faster still. It is
+// retired. Its Layout value 1 stays reserved, and its images —
+// snapshots and durable checkpoints — still load: the core of either
+// layout is a deterministic function of (config, trajectories), so
+// Read decodes only those and rebuilds the image as compressed at the
+// same generation.
 //
 // # The compressed trit-array layout (tSTAT)
 //
 // CompressTST produces the maximally compact layout after the
-// succinct trie of Kanda & Fujii, "Practical trie-based string
-// dictionaries" (arXiv 2005.10917), adapted to the RP-Trie. Nodes are
-// BFS-numbered; structure is two bitvector planes (a trit per node
+// succinct trit-array trie of Kanda et al., "Succinct Trit-array Trie
+// for Scalable Trajectory Similarity Search" (arXiv 2005.10917),
+// adapted to the RP-Trie, as a second core of the same Index. Nodes
+// are BFS-numbered; structure is two bitvector planes (a trit per node
 // classifying it pure leaf / terminal-with-children / plain internal)
 // plus a degree-unary LOUDS vector, all answered by O(1) rank/select
 // over repose/internal/bits. Edge z-values are coded
@@ -137,7 +147,7 @@
 //
 // # Online updates: generations, deltas, and compaction
 //
-// Both layouts support Insert, Delete, and Upsert through an
+// Both cores support Insert, Delete, and Upsert through an
 // epoch/generation scheme (dynamic.go). The structural core built at
 // construction time is immutable; mutations accumulate in a small
 // immutable delta overlay — an append buffer of pending inserts plus

@@ -2,45 +2,36 @@ package rptrie
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"repose/internal/geo"
 	"repose/internal/storage"
-	"repose/internal/topk"
 )
 
-// Durable is the disk-backed backing mode of the pointer and
-// compressed layouts: it wraps either of them and journals
-// every mutation through internal/storage so the partition recovers
-// to its exact pre-crash generation after kill -9.
+// Durability is an option of the Index handle: BuildDurable,
+// WrapDurable and OpenDurable give an index a write-ahead log on an
+// internal/storage page store, so the partition recovers to its exact
+// pre-crash generation after kill -9. Either layout can be made
+// durable.
 //
 // Protocol (the WAL-before-acknowledge discipline, see storage's
-// package doc): a mutation applies to the in-memory index, appends
-// one WAL record carrying the resulting generation, and is
-// acknowledged only after the record is fsynced (concurrent
-// committers share fsyncs — group commit). Checkpoint folds the
-// current index image into the page file and resets the log;
-// Compact triggers one automatically, since the rebuild has already
-// paid for the image. Queries go straight to the wrapped index —
-// the delta-empty hot path is untouched and stays allocation-free.
-//
-// A storage failure in the middle of a mutation leaves durability
-// unknown, so it poisons the handle: the failed mutation is rolled
-// back when no later mutation has applied, and every subsequent
-// mutation fails with the original error. Queries keep answering
-// from memory.
-type Durable struct {
-	mu              sync.Mutex
-	inner           memIndex
+// package doc): a mutation stages its successor state, appends one WAL
+// record carrying the successor's generation, publishes the successor,
+// and is acknowledged only after the record is fsynced (concurrent
+// committers share fsyncs — group commit; see Index.commit).
+// Checkpoint folds the current index image into the page file and
+// resets the log; Compact triggers one automatically, since the
+// rebuild has already paid for the image. Queries never touch the log
+// — the delta-empty hot path is untouched and stays allocation-free.
+
+// wal is the disk side of a durable index. Index.mu guards broken.
+type wal struct {
 	store           *storage.Store
 	dir             string
 	noCkptOnCompact bool
-	broken          error
+	broken          error // poisoning error; mutations fail once set
 }
 
 // ErrNoDurable reports a directory holding no recoverable index —
@@ -82,7 +73,7 @@ type walPayload struct {
 // unambiguously marks a versioned record and replay accepts both.
 const walVersion byte = 2
 
-// DurableOptions configures the disk side of a Durable index.
+// DurableOptions configures the disk side of a durable index.
 type DurableOptions struct {
 	// VFS is the filesystem to run on; nil means the real one.
 	VFS storage.VFS
@@ -105,22 +96,25 @@ func (o DurableOptions) storage() storage.Options {
 // BuildLayout) and installs it durably at dir, wiping whatever the
 // directory held. It returns only after the initial checkpoint is on
 // disk.
-func BuildDurable(dir string, cfg Config, ds []*geo.Trajectory, o DurableOptions) (*Durable, error) {
-	idx, err := BuildLayout(cfg, ds, o.Layout)
+func BuildDurable(dir string, cfg Config, ds []*geo.Trajectory, o DurableOptions) (*Index, error) {
+	x, err := BuildLayout(cfg, ds, o.Layout)
 	if err != nil {
 		return nil, err
 	}
-	return WrapDurable(dir, idx, o)
+	return WrapDurable(dir, x, o)
 }
 
-// WrapDurable installs a pre-built in-memory index (a *Trie or
-// *Compressed, e.g. one restored from a peer snapshot) as the durable
-// index at dir, wiping whatever the directory held. It returns only
-// after the initial checkpoint is on disk.
-func WrapDurable(dir string, idx Index, o DurableOptions) (*Durable, error) {
-	inner, ok := idx.(memIndex)
-	if !ok {
-		return nil, fmt.Errorf("rptrie: cannot make a %T durable", idx)
+// WrapDurable installs an in-memory index (e.g. one restored from a
+// peer snapshot) as the durable index at dir, wiping whatever the
+// directory held, and returns it: from then on x journals its
+// mutations. It returns only after the initial checkpoint is on disk,
+// and fails for an index that already is durable. o.Layout is
+// ignored; x keeps its layout.
+func WrapDurable(dir string, x *Index, o DurableOptions) (*Index, error) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.wal != nil {
+		return nil, fmt.Errorf("rptrie: index is already durable at %s", x.wal.dir)
 	}
 	if err := storage.Destroy(dir, o.VFS); err != nil {
 		return nil, err
@@ -129,12 +123,13 @@ func WrapDurable(dir string, idx Index, o DurableOptions) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}
-	if err := d.Checkpoint(); err != nil {
+	x.wal = &wal{store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}
+	if err := x.checkpointLocked(); err != nil {
+		x.wal = nil
 		st.Close()
 		return nil, err
 	}
-	return d, nil
+	return x, nil
 }
 
 // OpenDurable recovers the durable index at dir: it loads the newest
@@ -143,7 +138,7 @@ func WrapDurable(dir string, idx Index, o DurableOptions) (*Durable, error) {
 // reaches. Directories without a recoverable index (never created,
 // or creation crashed before the first checkpoint) fail with
 // ErrNoDurable.
-func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
+func OpenDurable(dir string, o DurableOptions) (*Index, error) {
 	st, err := storage.Open(dir, o.storage())
 	if err != nil {
 		if errors.Is(err, storage.ErrCorrupt) {
@@ -151,16 +146,17 @@ func OpenDurable(dir string, o DurableOptions) (*Durable, error) {
 		}
 		return nil, err
 	}
-	d, err := recoverIndex(st, dir, o)
+	x, err := recoverIndex(st, dir)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	return d, nil
+	x.wal = &wal{store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}
+	return x, nil
 }
 
 // recoverIndex rebuilds the in-memory index from st's checkpoint + WAL.
-func recoverIndex(st *storage.Store, dir string, o DurableOptions) (*Durable, error) {
+func recoverIndex(st *storage.Store, dir string) (*Index, error) {
 	if !st.HasCheckpoint() {
 		return nil, fmt.Errorf("%w: %s: store bootstrapped but never checkpointed", ErrNoDurable, dir)
 	}
@@ -171,23 +167,23 @@ func recoverIndex(st *storage.Store, dir string, o DurableOptions) (*Durable, er
 	if len(image) == 0 {
 		return nil, fmt.Errorf("%w: %s: empty checkpoint image", ErrNoDurable, dir)
 	}
-	inner, err := readMem(Layout(image[0]), bytes.NewReader(image[1:]))
+	x, err := Read(Layout(image[0]), bytes.NewReader(image[1:]))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
 	if err := st.Replay(func(rec storage.WALRecord) error {
-		return applyRecord(inner, rec)
+		return applyRecord(x, rec)
 	}); err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrNoDurable, dir, err)
 	}
-	return &Durable{inner: inner, store: st, dir: dir, noCkptOnCompact: o.NoCheckpointOnCompact}, nil
+	return x, nil
 }
 
 // applyRecord re-applies one logged mutation during recovery. The
 // staging code is deterministic, so the replayed generation must
 // match the recorded one exactly; a mismatch means the image and log
 // diverged and the state cannot be trusted.
-func applyRecord(inner Index, rec storage.WALRecord) error {
+func applyRecord(inner *Index, rec storage.WALRecord) error {
 	payload := rec.Payload
 	if len(payload) > 0 && payload[0] <= walVersion {
 		// Versioned record (see walVersion): strip the prefix. Bytes
@@ -230,194 +226,65 @@ func applyRecord(inner Index, rec storage.WALRecord) error {
 	return nil
 }
 
-// logMutation journals one applied mutation and returns its LSN. The
-// caller holds d.mu and has already applied the mutation; prev is the
-// pre-mutation state for rollback. On failure the handle is poisoned
-// and the mutation rolled back (no later mutation can have applied —
-// d.mu is held from apply through append).
-func (d *Durable) logMutation(typ byte, p walPayload, prev any) (uint64, error) {
+// append writes one mutation's WAL record and returns its LSN.
+func (w *wal) append(typ byte, p walPayload) (uint64, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(walVersion)
-	err := gob.NewEncoder(&buf).Encode(&p)
-	var lsn uint64
-	if err == nil {
-		lsn, err = d.store.Append(typ, buf.Bytes())
+	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
+		return 0, err
 	}
-	if err != nil {
-		d.inner.restore(prev)
-		d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
-		return 0, d.broken
-	}
-	return lsn, nil
+	return w.store.Append(typ, buf.Bytes())
 }
 
-// ackSync makes the record durable, completing the acknowledge half
-// of the protocol. Called without d.mu so concurrent committers share
-// fsyncs. genAfter is the generation this mutation produced: if the
-// sync fails and no later mutation has applied, the mutation is
-// rolled back; either way the handle is poisoned.
-func (d *Durable) ackSync(lsn uint64, genAfter uint64, prev any) error {
-	if err := d.store.Sync(lsn); err != nil {
-		d.mu.Lock()
-		if d.inner.Generation() == genAfter {
-			d.inner.restore(prev)
-		}
-		if d.broken == nil {
-			d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
-		}
-		err = d.broken
-		d.mu.Unlock()
-		return err
-	}
-	return nil
-}
-
-// Insert adds trajectories durably; see Trie.Insert. It returns only
-// after the mutation's WAL record is fsynced.
-func (d *Durable) Insert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	prev := d.inner.snapshot()
-	if err := d.inner.Insert(trs...); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recInsert, walPayload{Trs: trs, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.ackSync(lsn, gen, prev)
-}
-
-// Delete removes ids durably, returning how many were live; see
-// Trie.Delete. A count of zero is returned without touching the log.
-// On a storage failure the handle poisons, the deletion rolls back,
-// and 0 is returned — the caller never gets an acknowledgement the
-// log cannot honor.
-func (d *Durable) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return 0
-	}
-	prev := d.inner.snapshot()
-	n := d.inner.Delete(ids...)
-	if n == 0 {
-		d.mu.Unlock()
-		return 0
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recDelete, walPayload{IDs: ids, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return 0
-	}
-	if d.ackSync(lsn, gen, prev) != nil {
-		return 0
-	}
-	return n
-}
-
-// Upsert inserts with replace semantics, durably; see Trie.Upsert.
-func (d *Durable) Upsert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	prev := d.inner.snapshot()
-	if err := d.inner.Upsert(trs...); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recUpsert, walPayload{Trs: trs, Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return d.ackSync(lsn, gen, prev)
-}
-
-// Compact folds the pending delta into a rebuilt core, journals the
-// compaction, and (unless disabled) checkpoints — the rebuild has
-// already produced everything the image needs. A no-op on an empty
-// delta.
-func (d *Durable) Compact() error {
-	d.mu.Lock()
-	if d.broken != nil {
-		d.mu.Unlock()
-		return d.broken
-	}
-	if d.inner.DeltaLen() == 0 {
-		d.mu.Unlock()
-		return nil
-	}
-	prev := d.inner.snapshot()
-	if err := d.inner.Compact(); err != nil {
-		d.mu.Unlock()
-		return err
-	}
-	gen := d.inner.Generation()
-	lsn, err := d.logMutation(recCompact, walPayload{Gen: gen}, prev)
-	d.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := d.ackSync(lsn, gen, prev); err != nil {
-		return err
-	}
-	if d.noCkptOnCompact {
-		return nil
-	}
-	return d.Checkpoint()
-}
+// errNotDurable reports a disk operation on an in-memory index.
+var errNotDurable = errors.New("rptrie: index is not durable")
 
 // Checkpoint folds the current index image into the page file and
 // resets the WAL (storage.Store.Checkpoint's copy-on-write protocol).
 // Recovery cost drops to image-load plus whatever mutations follow.
-func (d *Durable) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.broken != nil {
-		return d.broken
+func (x *Index) Checkpoint() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.wal == nil {
+		return errNotDurable
+	}
+	return x.checkpointLocked()
+}
+
+// checkpointLocked writes the checkpoint image — the Layout as one
+// byte ahead of the layout's Save encoding — under x.mu.
+func (x *Index) checkpointLocked() error {
+	w := x.wal
+	if w.broken != nil {
+		return w.broken
 	}
 	var buf bytes.Buffer
-	buf.WriteByte(byte(d.inner.Layout()))
-	if err := d.inner.Save(&buf); err != nil {
+	buf.WriteByte(byte(x.Layout()))
+	if err := x.Save(&buf); err != nil {
 		return err
 	}
-	if err := d.store.Checkpoint(buf.Bytes(), d.inner.Generation()); err != nil {
-		d.broken = fmt.Errorf("%w: %v", ErrDurability, err)
-		return d.broken
+	if err := w.store.Checkpoint(buf.Bytes(), x.Generation()); err != nil {
+		w.broken = fmt.Errorf("%w: %v", ErrDurability, err)
+		return w.broken
 	}
 	return nil
 }
 
-// Close flushes and closes the store. The in-memory index keeps
-// answering queries; mutations fail once closed.
-func (d *Durable) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	alreadyBroken := d.broken != nil
-	if d.broken == nil {
-		d.broken = errors.New("rptrie: durable index closed")
+// Close flushes and closes a durable index's store; a no-op in
+// memory. The index keeps answering queries; mutations fail once
+// closed.
+func (x *Index) Close() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	w := x.wal
+	if w == nil {
+		return nil
 	}
-	err := d.store.Close()
+	alreadyBroken := w.broken != nil
+	if w.broken == nil {
+		w.broken = errors.New("rptrie: durable index closed")
+	}
+	err := w.store.Close()
 	if alreadyBroken && err == nil {
 		// Closing a poisoned handle: surface nothing new.
 		return nil
@@ -425,83 +292,23 @@ func (d *Durable) Close() error {
 	return err
 }
 
-// Err returns the poisoning error, nil while the handle is healthy.
-func (d *Durable) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.broken
-}
-
-// Dir returns the store directory.
-func (d *Durable) Dir() string { return d.dir }
-
-// Layout reports the wrapped layout.
-func (d *Durable) Layout() Layout { return d.inner.Layout() }
-
-// Generation returns the current snapshot's generation.
-func (d *Durable) Generation() uint64 { return d.inner.Generation() }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (d *Durable) DeltaLen() int { return d.inner.DeltaLen() }
-
-// Len returns the number of live trajectories.
-func (d *Durable) Len() int { return d.inner.Len() }
-
-// Config returns the wrapped index's build configuration.
-func (d *Durable) Config() Config { return d.inner.Config() }
-
-// SizeBytes reports the wrapped index footprint (the disk store and
-// buffer pool are not index state).
-func (d *Durable) SizeBytes() int { return d.inner.SizeBytes() }
-
-// Search answers a top-k query on the wrapped index.
-func (d *Durable) Search(q []geo.Point, k int) []topk.Item { return d.inner.Search(q, k) }
-
-// SearchAppend is Search appending results to dst.
-func (d *Durable) SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item {
-	return d.inner.SearchAppend(dst, q, k)
-}
-
-// SearchContext is Search honoring per-query options and a context.
-func (d *Durable) SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	return d.inner.SearchContext(ctx, q, k, opt)
-}
-
-// BoundContext returns an admissible lower bound on the distance from
-// q to every trajectory held by the wrapped index; see
-// Trie.BoundContext.
-func (d *Durable) BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error) {
-	return d.inner.BoundContext(ctx, q, opt)
-}
-
-// SearchRadiusContext answers a range query on the wrapped index.
-func (d *Durable) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
-	return d.inner.SearchRadiusContext(ctx, q, radius, opt)
-}
-
-// Save serializes the wrapped index in its layout's wire format
-// (readable by Read under Layout) — the cluster snapshot path.
-func (d *Durable) Save(w io.Writer) error { return d.inner.Save(w) }
-
-// LiveIDs returns the ids of every live trajectory, unordered — the
-// input for rebuilding a driver's routing directory after recovery and
-// for computing a split's keep set.
-func (d *Durable) LiveIDs() []int { return d.inner.LiveIDs() }
-
-func liveIDsOf(core map[int32]*geo.Trajectory, dl *delta) []int {
-	out := make([]int, 0, len(core))
-	for tid := range core {
-		if dl != nil {
-			if _, dead := dl.dels[tid]; dead {
-				continue
-			}
-		}
-		out = append(out, int(tid))
+// Err returns the poisoning error, nil while the index is healthy or
+// in memory.
+func (x *Index) Err() error {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.wal == nil {
+		return nil
 	}
-	if dl != nil {
-		for _, tr := range dl.adds {
-			out = append(out, tr.ID)
-		}
+	return x.wal.broken
+}
+
+// Dir returns a durable index's store directory, "" in memory.
+func (x *Index) Dir() string {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.wal == nil {
+		return ""
 	}
-	return out
+	return x.wal.dir
 }

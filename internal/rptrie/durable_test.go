@@ -191,8 +191,8 @@ func TestDurablePoisonOnStorageFailure(t *testing.T) {
 	d.Close()
 }
 
-// TestDurableWrapRejectsForeignTypes: only the two in-memory layouts
-// can be made durable — not an index that already is.
+// TestDurableWrapRejectsForeignTypes: an index that already has a
+// write-ahead log cannot be given a second one.
 func TestDurableWrapRejectsForeignTypes(t *testing.T) {
 	fs := failpoint.New(1)
 	d, err := BuildDurable("part", durableCfg(t), randomDataset(rand.New(rand.NewSource(1)), 4), DurableOptions{VFS: fs})
@@ -201,7 +201,7 @@ func TestDurableWrapRejectsForeignTypes(t *testing.T) {
 	}
 	defer d.Close()
 	if _, err := WrapDurable("other", d, DurableOptions{VFS: fs}); err == nil {
-		t.Fatal("WrapDurable(*Durable) succeeded")
+		t.Fatal("WrapDurable of a durable index succeeded")
 	}
 }
 

@@ -242,21 +242,22 @@ func (d *delta) merged(core map[int32]*geo.Trajectory) []*geo.Trajectory {
 }
 
 // withDelta derives the next generation from st with nd as overlay.
-func (st *trieState) withDelta(nd *delta) *trieState {
+func (st *state) withDelta(nd *delta) *state {
 	ns := *st
 	ns.delta = nd
 	ns.gen = st.gen + 1
 	return &ns
 }
 
-// compactedState folds st's delta into a freshly built core. It is a
-// pure function of st: callers decide whether the result becomes the
-// index's next generation.
-func compactedState(cfg Config, st *trieState) (*trieState, error) {
+// compactedState folds st's delta into a freshly built core of the
+// same layout, at st's generation. It is a pure function of st:
+// callers decide whether the result becomes the index's next
+// generation.
+func compactedState(cfg Config, st *state) (*state, error) {
 	if st.delta.empty() {
 		return st, nil
 	}
-	ns, err := buildState(cfg, st.delta.merged(st.trajs))
+	ns, err := buildState(cfg, st.delta.merged(st.trajs), st.core.layout())
 	if err != nil {
 		return nil, err
 	}
@@ -264,89 +265,144 @@ func compactedState(cfg Config, st *trieState) (*trieState, error) {
 	return ns, nil
 }
 
-// Generation returns the snapshot's generation counter. It increases
-// by one per applied mutation batch and per compaction.
-func (t *Trie) Generation() uint64 { return t.state().gen }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (t *Trie) DeltaLen() int { return t.state().delta.size() }
-
-// Layout reports LayoutPointer.
-func (t *Trie) Layout() Layout { return LayoutPointer }
-
-func (t *Trie) snapshot() any    { return t.cur.Load() }
-func (t *Trie) restore(snap any) { t.cur.Store(snap.(*trieState)) }
-
 // Insert adds trajectories to the live index as pending inserts,
 // visible to every query issued after it returns. It fails — without
 // applying anything — on an empty trajectory or an id that is already
 // live.
-func (t *Trie) Insert(trs ...*geo.Trajectory) error {
+func (x *Index) Insert(trs ...*geo.Trajectory) error {
 	if len(trs) == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, err := stageInsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	t.cur.Store(st.withDelta(nd))
-	return nil
+	return x.commit(recInsert, walPayload{Trs: trs}, func(st *state) (*state, error) {
+		nd, err := stageInsert(st.delta, st.trajs, trs)
+		if err != nil {
+			return nil, err
+		}
+		return st.withDelta(nd), nil
+	})
 }
 
 // Delete removes the given ids from the live index, returning how many
 // were actually live. Queries issued after it returns never see them.
-func (t *Trie) Delete(ids ...int) int {
+// A durable index that cannot log the deletion rolls it back and
+// returns 0: the caller never gets an acknowledgement the log cannot
+// honor.
+func (x *Index) Delete(ids ...int) int {
 	if len(ids) == 0 {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, n := stageDelete(st.delta, st.trajs, ids)
-	if n == 0 {
+	n := 0
+	err := x.commit(recDelete, walPayload{IDs: ids}, func(st *state) (*state, error) {
+		nd, live := stageDelete(st.delta, st.trajs, ids)
+		if live == 0 {
+			return st, nil
+		}
+		n = live
+		return st.withDelta(nd), nil
+	})
+	if err != nil {
 		return 0
 	}
-	t.cur.Store(st.withDelta(nd))
 	return n
 }
 
 // Upsert inserts trajectories, replacing any live trajectory sharing
 // an id. The replacement is atomic per snapshot: no query observes the
 // old and new version of an id together, or neither.
-func (t *Trie) Upsert(trs ...*geo.Trajectory) error {
+func (x *Index) Upsert(trs ...*geo.Trajectory) error {
 	if len(trs) == 0 {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	nd, err := stageUpsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	t.cur.Store(st.withDelta(nd))
-	return nil
+	return x.commit(recUpsert, walPayload{Trs: trs}, func(st *state) (*state, error) {
+		nd, err := stageUpsert(st.delta, st.trajs, trs)
+		if err != nil {
+			return nil, err
+		}
+		return st.withDelta(nd), nil
+	})
 }
 
 // Compact folds the pending delta into a rebuilt core, restoring the
 // fully indexed (zero-overlay) read path. A no-op when the delta is
 // empty. In-flight queries keep their snapshot; queries issued after
-// it returns see the compacted generation.
-func (t *Trie) Compact() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.cur.Load()
-	if st.delta.empty() {
-		return nil
-	}
-	ns, err := compactedState(t.cfg, st)
-	if err != nil {
+// it returns see the compacted generation. The rebuild goes through
+// the pointer trie whatever the layout, so nothing about the
+// trit-array encoding limits which mutations are supported. A durable
+// index then checkpoints (unless DurableOptions disabled it): the
+// rebuild has already paid for the image.
+func (x *Index) Compact() error {
+	compacted := false
+	err := x.commit(recCompact, walPayload{}, func(st *state) (*state, error) {
+		if st.delta.empty() {
+			return st, nil
+		}
+		ns, err := compactedState(x.cfg, st)
+		if err != nil {
+			return nil, err
+		}
+		ns.gen = st.gen + 1
+		compacted = true
+		return ns, nil
+	})
+	if err != nil || !compacted {
 		return err
 	}
-	ns.gen = st.gen + 1
-	t.cur.Store(ns)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.wal == nil || x.wal.noCkptOnCompact {
+		return nil
+	}
+	return x.checkpointLocked()
+}
+
+// commit runs one mutation under the writer lock. stage derives the
+// successor of the current state, or returns the current state itself
+// when the mutation changes nothing. A durable index appends the
+// mutation's WAL record, carrying the successor's generation, before
+// publishing the successor, and fsyncs it after unlocking, so
+// concurrent committers share fsyncs (group commit); the mutation is
+// acknowledged only once the record is durable.
+//
+// A storage failure leaves durability unknown, so it poisons the
+// index: every later mutation fails with the original error, while
+// queries keep answering from memory. A failed append publishes
+// nothing; a failed fsync rolls the published state back unless a
+// later mutation has already built on it.
+func (x *Index) commit(typ byte, p walPayload, stage func(*state) (*state, error)) error {
+	x.mu.Lock()
+	w := x.wal
+	if w != nil && w.broken != nil {
+		x.mu.Unlock()
+		return w.broken
+	}
+	prev := x.cur.Load()
+	next, err := stage(prev)
+	if err != nil || next == prev {
+		x.mu.Unlock()
+		return err
+	}
+	var lsn uint64
+	if w != nil {
+		p.Gen = next.gen
+		if lsn, err = w.append(typ, p); err != nil {
+			w.broken = fmt.Errorf("%w: %v", ErrDurability, err)
+			x.mu.Unlock()
+			return w.broken
+		}
+	}
+	x.cur.Store(next)
+	x.mu.Unlock()
+	if w == nil {
+		return nil
+	}
+	if err := w.store.Sync(lsn); err != nil {
+		x.mu.Lock()
+		defer x.mu.Unlock()
+		x.cur.CompareAndSwap(next, prev)
+		if w.broken == nil {
+			w.broken = fmt.Errorf("%w: %v", ErrDurability, err)
+		}
+		return w.broken
+	}
 	return nil
 }

@@ -10,25 +10,10 @@ import (
 	"repose/internal/geo"
 	"repose/internal/grid"
 	"repose/internal/oracle"
-	"repose/internal/topk"
 )
 
-// dynIndex is the mutation + query surface shared by both layouts,
-// letting the dynamic tests run the same script against each.
-type dynIndex interface {
-	Insert(trs ...*geo.Trajectory) error
-	Delete(ids ...int) int
-	Upsert(trs ...*geo.Trajectory) error
-	Compact() error
-	Generation() uint64
-	DeltaLen() int
-	Len() int
-	Trajectory(id int) *geo.Trajectory
-	Search(q []geo.Point, k int) []topk.Item
-}
-
 // buildDyn builds one index of the requested layout over ds.
-func buildDyn(t *testing.T, layout string, cfg Config, ds []*geo.Trajectory) dynIndex {
+func buildDyn(t *testing.T, layout string, cfg Config, ds []*geo.Trajectory) *Index {
 	t.Helper()
 	l, err := ParseLayout(layout)
 	if err != nil {
@@ -38,7 +23,7 @@ func buildDyn(t *testing.T, layout string, cfg Config, ds []*geo.Trajectory) dyn
 	if err != nil {
 		t.Fatal(err)
 	}
-	return idx.(dynIndex)
+	return idx
 }
 
 var dynLayouts = []string{"pointer", "compressed"}

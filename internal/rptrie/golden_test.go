@@ -18,7 +18,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden persist fixtur
 // (hand-written, so the fixture does not depend on any PRNG stream)
 // with pivots, one insert, and one delete — exercising config, pivot
 // ranges, generation, and tombstone folding in the saved image.
-func goldenIndex(t *testing.T) (*Trie, *geo.Trajectory) {
+func goldenIndex(t *testing.T) (*Index, *geo.Trajectory) {
 	t.Helper()
 	ds, q, g := paperDataset()
 	cfg := Config{Measure: dist.Hausdorff, Grid: g, Pivots: []*geo.Trajectory{ds[0], ds[2]}, Optimize: true}
@@ -133,13 +133,12 @@ func TestGoldenSuccinctImage(t *testing.T) {
 	if err := fresh.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := Read(layoutSuccinct, bytes.NewReader(loadFrozen(t, "succinct.img", wireVersion)))
+	back, err := Read(layoutSuccinct, bytes.NewReader(loadFrozen(t, "succinct.img", wireVersion)))
 	if err != nil {
 		t.Fatalf("decoding frozen fixture: %v", err)
 	}
-	back, ok := idx.(*Compressed)
-	if !ok || back.Layout() != LayoutCompressed {
-		t.Fatalf("succinct image loaded as %T", idx)
+	if back.Layout() != LayoutCompressed {
+		t.Fatalf("succinct image loaded as %v", back.Layout())
 	}
 	if back.Generation() != 2 || back.Len() != 5 {
 		t.Fatalf("fixture decoded to gen=%d len=%d, want gen=2 len=5", back.Generation(), back.Len())

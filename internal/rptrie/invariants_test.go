@@ -21,8 +21,9 @@ import (
 //     leaves, the exact pivot distances of members;
 //  6. leaf Dmax bounds the distance from every member to the leaf's
 //     reference trajectory.
-func validate(t *testing.T, tr *Trie) {
+func validate(t *testing.T, tr *Index) {
 	t.Helper()
+	pc := pointerCore(t, tr)
 	seen := map[int32]int{}
 	var walk func(n *node, path []uint64) (minLen, maxLen, depth int)
 	walk = func(n *node, path []uint64) (int, int, int) {
@@ -96,7 +97,7 @@ func validate(t *testing.T, tr *Trie) {
 		}
 		return minLen, maxLen, depth
 	}
-	walk(tr.state().root, nil)
+	walk(pc.root, nil)
 	if len(seen) != len(tr.state().trajs) {
 		t.Fatalf("leaves hold %d distinct tids, index has %d", len(seen), len(tr.state().trajs))
 	}
@@ -188,4 +189,15 @@ func TestSearchIsSubsetInvariantQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// pointerCore returns x's pointer trie, failing unless x is in the
+// pointer layout.
+func pointerCore(t *testing.T, x *Index) *ptrCore {
+	t.Helper()
+	pc, ok := x.state().core.(*ptrCore)
+	if !ok {
+		t.Fatalf("index is in the %v layout, want pointer", x.Layout())
+	}
+	return pc
 }

@@ -134,27 +134,16 @@ type wireTrie struct {
 	MaxDepth int
 }
 
-// Save serializes the trie to w in the gob wire format readable by
-// ReadTrie. (Not named WriteTo: io.WriterTo's byte-count contract is
-// meaningless through gob.) A pending delta is folded into the saved
-// image, so the restored trie always starts fully compacted — at the
-// source's generation, so replicas restored from a peer's snapshot
-// stay generation-aligned with it (cluster failover relies on this).
-func (t *Trie) Save(w io.Writer) error {
-	st := t.state()
-	if !st.delta.empty() {
-		var err error
-		if st, err = compactedState(t.cfg, st); err != nil {
-			return err
-		}
-	}
+// save writes the pointer image: a preorder node stream plus the
+// indexed trajectories.
+func (c *ptrCore) save(w io.Writer, cfg Config, st *state) error {
 	wt := wireTrie{
 		Magic:    wireMagic,
 		Gen:      st.gen,
-		Config:   wireConfigOf(t.cfg),
-		NumNodes: st.numNodes,
-		NumLeafs: st.numLeafs,
-		MaxDepth: st.maxDepth,
+		Config:   wireConfigOf(cfg),
+		NumNodes: c.numNodes,
+		NumLeafs: c.numLeafs,
+		MaxDepth: c.maxDepth,
 	}
 	var flatten func(n *node)
 	flatten = func(n *node) {
@@ -178,24 +167,26 @@ func (t *Trie) Save(w io.Writer) error {
 			flatten(c)
 		}
 	}
-	flatten(st.root)
-	wt.Trajs = make([]*geo.Trajectory, 0, len(st.trajs))
-	for _, tr := range st.trajs {
-		wt.Trajs = append(wt.Trajs, tr)
-	}
-	// Sorted so the image is a deterministic function of the indexed
-	// state (map iteration order is not): replicas saving the same
-	// state emit identical bytes, and the golden fixtures can pin the
-	// encoding exactly.
-	sort.Slice(wt.Trajs, func(i, j int) bool { return wt.Trajs[i].ID < wt.Trajs[j].ID })
-	if err := writeWireVersion(w); err != nil {
-		return err
-	}
+	flatten(c.root)
+	wt.Trajs = sortedTrajs(st.trajs)
 	return gob.NewEncoder(w).Encode(&wt)
 }
 
-// ReadTrie deserializes a trie written by Save.
-func ReadTrie(r io.Reader) (*Trie, error) {
+// sortedTrajs lists trajs by ascending id, so an image is a
+// deterministic function of the indexed state (map iteration order is
+// not): replicas saving the same state emit identical bytes, and the
+// golden fixtures can pin the encoding exactly.
+func sortedTrajs(trajs map[int32]*geo.Trajectory) []*geo.Trajectory {
+	out := make([]*geo.Trajectory, 0, len(trajs))
+	for _, tr := range trajs {
+		out = append(out, tr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// ReadTrie deserializes a pointer-layout index written by Save.
+func ReadTrie(r io.Reader) (*Index, error) {
 	if err := readWireVersion(r); err != nil {
 		return nil, err
 	}
@@ -213,19 +204,12 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &trieState{
-		gen:      wt.Gen,
-		trajs:    make(map[int32]*geo.Trajectory, len(wt.Trajs)),
-		numNodes: wt.NumNodes,
-		numLeafs: wt.NumLeafs,
-		maxDepth: wt.MaxDepth,
-	}
-	t := &Trie{cfg: cfg}
+	trajs := make(map[int32]*geo.Trajectory, len(wt.Trajs))
 	for _, tr := range wt.Trajs {
 		if tr != nil && !tr.ValidTimes() {
 			return nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
 		}
-		st.trajs[int32(tr.ID)] = tr
+		trajs[int32(tr.ID)] = tr
 	}
 	pos := 0
 	var rebuild func() (*node, error)
@@ -250,7 +234,7 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 				maxLen: int(wn.LeafMaxLen),
 			}
 			for _, tid := range wn.Tids {
-				if _, ok := st.trajs[tid]; !ok {
+				if _, ok := trajs[tid]; !ok {
 					return nil, fmt.Errorf("rptrie: leaf references unknown trajectory %d", tid)
 				}
 			}
@@ -271,7 +255,6 @@ func ReadTrie(r io.Reader) (*Trie, error) {
 	if pos != len(wt.Nodes) {
 		return nil, fmt.Errorf("rptrie: %d trailing nodes", len(wt.Nodes)-pos)
 	}
-	st.root = root
-	t.cur.Store(st)
-	return t, nil
+	pc := &ptrCore{root: root, numNodes: wt.NumNodes, numLeafs: wt.NumLeafs, maxDepth: wt.MaxDepth}
+	return newIndex(cfg, &state{gen: wt.Gen, core: pc, trajs: trajs}), nil
 }

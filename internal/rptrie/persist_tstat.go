@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repose/internal/geo"
 )
@@ -192,37 +191,18 @@ func decodeCoords(planes []byte, trajs []*geo.Trajectory, set func(*geo.Point, f
 	return nil
 }
 
-// Save serializes the compressed index to w; see Trie.Save for the
-// shared conventions (delta folded first, deterministic bytes for
-// identical state, format-version byte up front). ReadCompressed is
-// the inverse.
-func (x *Compressed) Save(w io.Writer) error {
-	st := x.state()
-	core := st.core
-	trajs := st.trajs
-	if !st.delta.empty() {
-		ts, err := buildState(x.cfg, st.delta.merged(st.trajs))
-		if err != nil {
-			return err
-		}
-		if core, err = compressTSTCore(x.cfg, ts); err != nil {
-			return err
-		}
-		trajs = ts.trajs
-	}
+// save writes the compressed image: the generation, the build
+// configuration and the delta-coded trajectory payload, without the
+// core itself.
+func (c *cmpCore) save(w io.Writer, cfg Config, st *state) error {
 	wc := wireCompressed{
 		Magic:    wireTSTMagic,
-		Config:   wireConfigOf(x.cfg),
+		Config:   wireConfigOf(cfg),
 		Gen:      st.gen,
-		NumNodes: core.numNodes,
-		NumLeafs: core.numLeafs,
+		NumNodes: c.numNodes,
+		NumLeafs: c.numLeafs,
 	}
-	ordered := make([]*geo.Trajectory, 0, len(trajs))
-	for _, tr := range trajs {
-		ordered = append(ordered, tr)
-	}
-	// Deterministic image bytes for identical state (see persist.go).
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
+	ordered := sortedTrajs(st.trajs)
 	wc.TrajIDs = make([]int64, len(ordered))
 	wc.TrajLens = make([]int32, len(ordered))
 	for i, tr := range ordered {
@@ -232,10 +212,6 @@ func (x *Compressed) Save(w io.Writer) error {
 	wc.XPlanes = encodeCoords(ordered, func(p geo.Point) float64 { return p.X })
 	wc.YPlanes = encodeCoords(ordered, func(p geo.Point) float64 { return p.Y })
 	wc.HasTimes, wc.TimePlanes = encodeTimes(ordered)
-
-	if err := writeWireVersion(w); err != nil {
-		return err
-	}
 	zw, err := flate.NewWriter(w, flate.DefaultCompression)
 	if err != nil {
 		return err
@@ -246,12 +222,12 @@ func (x *Compressed) Save(w io.Writer) error {
 	return zw.Close()
 }
 
-// ReadCompressed deserializes a compressed index written by Save. The
-// trit-array core is rebuilt from the decoded trajectories (it is not
-// on the wire) and its shape is checked against the counts the saver
-// recorded, so a corrupted stream fails the read instead of a later
-// query.
-func ReadCompressed(r io.Reader) (*Compressed, error) {
+// ReadCompressed deserializes a compressed-layout index written by
+// Save. The trit-array core is rebuilt from the decoded trajectories
+// (it is not on the wire) and its shape is checked against the counts
+// the saver recorded, so a corrupted stream fails the read instead of
+// a later query.
+func ReadCompressed(r io.Reader) (*Index, error) {
 	if err := readWireVersion(r); err != nil {
 		return nil, err
 	}
@@ -297,32 +273,22 @@ func ReadCompressed(r io.Reader) (*Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
-	if core := x.state().core; core.numNodes != wc.NumNodes || core.numLeafs != wc.NumLeafs {
+	if nodes, leaves := x.state().core.counts(); nodes != wc.NumNodes || leaves != wc.NumLeafs {
 		return nil, fmt.Errorf("rptrie: rebuilt core has %d nodes, %d leaves; image recorded %d, %d",
-			core.numNodes, core.numLeafs, wc.NumNodes, wc.NumLeafs)
+			nodes, leaves, wc.NumNodes, wc.NumLeafs)
 	}
 	return x, nil
 }
 
 // rebuildCompressed derives the compressed index over a loaded
 // image's trajectories at the image's generation.
-func rebuildCompressed(cfg Config, gen uint64, trajs []*geo.Trajectory) (*Compressed, error) {
-	for _, tr := range trajs {
-		if !tr.ValidTimes() {
-			return nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
-		}
-	}
-	ts, err := buildState(cfg, trajs)
+func rebuildCompressed(cfg Config, gen uint64, trajs []*geo.Trajectory) (*Index, error) {
+	st, err := buildState(cfg, trajs, LayoutCompressed)
 	if err != nil {
 		return nil, fmt.Errorf("rptrie: rebuilding core: %w", err)
 	}
-	core, err := compressTSTCore(cfg, ts)
-	if err != nil {
-		return nil, fmt.Errorf("rptrie: re-encoding core: %w", err)
-	}
-	x := &Compressed{cfg: cfg}
-	x.cur.Store(&cmpState{gen: gen, core: core, trajs: ts.trajs})
-	return x, nil
+	st.gen = gen
+	return newIndex(cfg, st), nil
 }
 
 // wireSuccMagic identifies an image of the retired two-tier succinct
@@ -342,7 +308,7 @@ type wireSuccinct struct {
 
 // readSuccinctImage loads a succinct image as a compressed index at
 // the image's generation.
-func readSuccinctImage(r io.Reader) (*Compressed, error) {
+func readSuccinctImage(r io.Reader) (*Index, error) {
 	if err := readWireVersion(r); err != nil {
 		return nil, err
 	}

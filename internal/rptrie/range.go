@@ -17,27 +17,27 @@ import (
 // range-query primitive DITA builds its top-k on, provided here as an
 // extension (the paper's Section IX mentions range search only via
 // DITA).
-func (t *Trie) SearchRadius(q []geo.Point, radius float64) []topk.Item {
-	out, _ := t.SearchRadiusContext(nil, q, radius, SearchOptions{})
+func (x *Index) SearchRadius(q []geo.Point, radius float64) []topk.Item {
+	out, _ := x.SearchRadiusContext(nil, q, radius, SearchOptions{})
 	return out
 }
 
 // SearchRadiusContext is SearchRadius honoring per-query options and
 // cancellation: the walk polls ctx periodically and aborts with its
 // error once it is cancelled or past its deadline. A nil ctx disables
-// cancellation.
-func (t *Trie) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
+// cancellation. A negative or NaN radius matches nothing.
+func (x *Index) SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error) {
+	st := x.state()
 	if opt.MinGen > st.gen {
 		return nil, ErrStale
 	}
-	if len(q) == 0 || st.live() == 0 || radius < 0 {
+	if len(q) == 0 || st.live() == 0 || !(radius >= 0) {
 		return nil, nil
 	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
+	sc := x.pool.get()
+	defer x.pool.put(sc)
 	rq := rangeQuery{
-		cfg: t.cfg, trajs: st.trajs,
+		cfg: x.cfg, trajs: st.trajs,
 		ctxPoller: ctxPoller{ctx: ctx}, sc: sc, q: q, radius: radius,
 		workers: opt.RefineWorkers,
 	}
@@ -48,11 +48,11 @@ func (t *Trie) SearchRadiusContext(ctx context.Context, q []geo.Point, radius fl
 	if err := rq.err(); err != nil {
 		return nil, err
 	}
-	if t.cfg.Pivots != nil && !t.cfg.DisableLBp && !opt.NoPivots && !rq.subseq {
-		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, t.cfg.Pivots, t.cfg.Measure, t.cfg.Params, &sc.ds)
+	if x.cfg.Pivots != nil && !x.cfg.DisableLBp && !opt.NoPivots && !rq.subseq {
+		sc.dqp = pivot.AppendDistances(sc.dqp[:0], q, x.cfg.Pivots, x.cfg.Measure, x.cfg.Params, &sc.ds)
 		rq.dqp = sc.dqp
 	}
-	sc.qb.Reset(t.cfg.Measure, q, t.cfg.Grid, t.cfg.Params)
+	sc.qb.Reset(x.cfg.Measure, q, x.cfg.Grid, x.cfg.Params)
 	sc.items = sc.items[:0]
 	// Pending inserts sit outside the trie: scan them exactly.
 	if d := st.delta; d != nil {
@@ -65,7 +65,8 @@ func (t *Trie) SearchRadiusContext(ctx context.Context, q []geo.Point, radius fl
 			}
 		}
 	}
-	if err := rq.walk(st.root, sc.qb.Root()); err != nil {
+	sc.children = sc.children[:0]
+	if err := rq.walk(st.core.searchRoot(sc), sc.qb.Root()); err != nil {
 		return nil, err
 	}
 	topk.SortItems(sc.items)
@@ -119,47 +120,52 @@ func (rq *rangeQuery) refineOne(tr *geo.Trajectory, s *dist.Scratch) (topk.Item,
 // walk prunes subtrees whose bound exceeds radius and refines
 // surviving leaves. Depth-first: unlike top-k, range search gains
 // nothing from best-first ordering because the threshold is fixed.
-// walk consumes b: the last child takes ownership of it, so the
-// caller must not reuse (only Release) it afterwards.
-func (rq *rangeQuery) walk(n *node, b *dist.PathBounder) error {
+// n's children wait on the scratch's edge stack (sc.children) while
+// the walk descends into them, so a warm scratch walks without
+// allocating. walk consumes b: the last child takes ownership of it,
+// so the caller must not reuse (only Release) it afterwards.
+func (rq *rangeQuery) walk(n searchNode, b *dist.PathBounder) error {
 	if rq.cancelled() {
 		return rq.err()
 	}
-	if rq.dqp != nil && n.hr != nil && pivot.LowerBound(rq.dqp, n.hr) > rq.radius {
+	if n.pivotLB(rq.dqp) > rq.radius {
 		return nil
 	}
-	if n.leaf != nil {
+	if lv, ok := n.leafView(); ok {
+		meta := dist.NodeMeta{MinLen: lv.minLen, MaxLen: lv.maxLen}
 		lb := 0.0
 		if rq.subseq {
-			lb = b.LBoSub(dist.NodeMeta{MinLen: n.leaf.minLen, MaxLen: n.leaf.maxLen})
+			lb = b.LBoSub(meta)
 		} else if !rq.cfg.DisableLBt {
-			lb = b.LBtBounded(dist.LeafMeta{
-				NodeMeta: dist.NodeMeta{MinLen: n.leaf.minLen, MaxLen: n.leaf.maxLen},
-				Dmax:     n.leaf.dmax,
-			}, rq.radius, &rq.sc.ds)
+			lb = b.LBtBounded(dist.LeafMeta{NodeMeta: meta, Dmax: lv.dmax}, rq.radius, &rq.sc.ds)
 		}
 		if lb <= rq.radius {
-			if err := rq.refineLeaf(n.leaf.tids); err != nil {
+			if err := rq.refineLeaf(lv.tids); err != nil {
 				return err
 			}
 		}
 	}
-	for i, c := range n.children {
+	sc := rq.sc
+	base := len(sc.children)
+	sc.children = n.appendChildren(sc.children)
+	end := len(sc.children)
+	for i := base; i < end; i++ {
+		ce := sc.children[i] // re-read: deeper levels may grow the stack
 		var cb *dist.PathBounder
-		last := i == len(n.children)-1
+		last := i == end-1
 		if last {
 			cb = b
 		} else {
 			cb = b.Fork()
 		}
-		cb.ExtendZ(c.z)
-		if rq.childLB(cb, nodeMeta(c)) > rq.radius {
+		cb.ExtendZ(ce.z)
+		if rq.childLB(cb, ce.n.meta()) > rq.radius {
 			if !last {
 				cb.Release()
 			}
 			continue
 		}
-		err := rq.walk(c, cb)
+		err := rq.walk(ce.n, cb)
 		if !last {
 			cb.Release()
 		}
@@ -167,11 +173,8 @@ func (rq *rangeQuery) walk(n *node, b *dist.PathBounder) error {
 			return err
 		}
 	}
+	sc.children = sc.children[:base]
 	return nil
-}
-
-func nodeMeta(n *node) dist.NodeMeta {
-	return dist.NodeMeta{MinLen: n.minLen, MaxLen: n.maxLen, MaxDepthBelow: n.maxDepthBelow}
 }
 
 // childLB is the subtree pruning bound of the walk: the segment bound

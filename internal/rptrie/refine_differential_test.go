@@ -1,7 +1,6 @@
 package rptrie
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -21,13 +20,6 @@ import (
 // matched [Start, End) segments all must agree exactly, across every
 // measure and all three layouts. Failure messages lead with the case
 // seed.
-
-// refinedIndex is dynIndex plus the option-carrying entry points the
-// refined modes go through.
-type refinedIndex interface {
-	dynIndex
-	SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error)
-}
 
 // attachTimes timestamps roughly two thirds of ds in place: ascending
 // starts with occasional repeats (vehicles stop), leaving the rest
@@ -119,7 +111,7 @@ func runRefinedCase(t *testing.T, layout string, m dist.Measure, p dist.Params, 
 		Grid:     g,
 		Optimize: rng.Intn(2) == 0 && m.OrderIndependent(),
 	}
-	idx := buildDyn(t, layout, cfg, ds).(refinedIndex)
+	idx := buildDyn(t, layout, cfg, ds)
 	mirror := oracle.NewSet(ds)
 	nextID := 1000
 	cases := 0
@@ -141,11 +133,9 @@ func runRefinedCase(t *testing.T, layout string, m dist.Measure, p dist.Params, 
 		}
 		want := mirror.TopKRefined(m, p, q.Points, k, specOracle(sp))
 		assertRefinedTopK(t, ctx+fmt.Sprintf(" spec=%+v k=%d", sp, k), m, p, mirror, q.Points, specOracle(sp), got, want)
-		if rs, ok := idx.(interface {
-			SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error)
-		}); ok && rng.Intn(4) == 0 {
+		if rng.Intn(4) == 0 {
 			radius := 0.2 + rng.Float64()*3
-			gotR, err := rs.SearchRadiusContext(nil, q.Points, radius, opt)
+			gotR, err := idx.SearchRadiusContext(nil, q.Points, radius, opt)
 			if err != nil {
 				t.Fatalf("%s: SearchRadiusContext: %v", ctx, err)
 			}
@@ -273,7 +263,7 @@ func TestWholeRefinerMatchesNilPath(t *testing.T) {
 		ds := randomDataset(rng, 40)
 		cfg := Config{Measure: m, Params: p, Grid: g}
 		for _, layout := range dynLayouts {
-			idx := buildDyn(t, layout, cfg, ds).(refinedIndex)
+			idx := buildDyn(t, layout, cfg, ds)
 			for i := 0; i < 20; i++ {
 				q := randomDataset(rng, 1)[0]
 				plain, err := idx.SearchContext(nil, q.Points, 5, SearchOptions{})
@@ -285,20 +275,16 @@ func TestWholeRefinerMatchesNilPath(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertRefinedItems(t, fmt.Sprintf("measure=%v layout=%s i=%d", m, layout, i), viaRefiner, plain)
-				if rs, ok := idx.(interface {
-					SearchRadiusContext(ctx context.Context, q []geo.Point, radius float64, opt SearchOptions) ([]topk.Item, error)
-				}); ok {
-					radius := 0.5 + rng.Float64()*2
-					plainR, err := rs.SearchRadiusContext(nil, q.Points, radius, SearchOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					refR, err := rs.SearchRadiusContext(nil, q.Points, radius, SearchOptions{Refiner: WholeRefiner(m, p)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertRefinedItems(t, fmt.Sprintf("radius measure=%v layout=%s i=%d", m, layout, i), refR, plainR)
+				radius := 0.5 + rng.Float64()*2
+				plainR, err := idx.SearchRadiusContext(nil, q.Points, radius, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
+				refR, err := idx.SearchRadiusContext(nil, q.Points, radius, SearchOptions{Refiner: WholeRefiner(m, p)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertRefinedItems(t, fmt.Sprintf("radius measure=%v layout=%s i=%d", m, layout, i), refR, plainR)
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repose/internal/dist"
 	"repose/internal/geo"
@@ -62,58 +60,19 @@ type leafData struct {
 	maxLen int
 }
 
-// trieState is one immutable generation of the index: the compacted
-// core (trie structure plus the trajectories it covers) and the delta
-// overlay of mutations applied since the last compaction. Queries load
-// exactly one state through an atomic pointer and never observe a
-// half-applied mutation; writers build a fresh state and swap it in
-// (see dynamic.go).
-type trieState struct {
-	gen      uint64
+// ptrCore is the pointer layout's core: the trie itself, the shape
+// counts NumNodes and NumLeaves report, and the depth the image
+// records.
+type ptrCore struct {
 	root     *node
-	trajs    map[int32]*geo.Trajectory
 	numNodes int // excluding the root
 	numLeafs int
 	maxDepth int
-	delta    *delta // pending mutations; nil once compacted
 }
 
-// live returns the number of live trajectories: core members minus
-// tombstones plus pending inserts.
-func (st *trieState) live() int {
-	n := len(st.trajs)
-	if st.delta != nil {
-		n += len(st.delta.adds) - len(st.delta.dels)
-	}
-	return n
-}
-
-// trajectory resolves id against the state: pending inserts shadow the
-// core, tombstones hide it.
-func (st *trieState) trajectory(tid int32) *geo.Trajectory {
-	if tr, hit := st.delta.get(tid); hit {
-		return tr
-	}
-	return st.trajs[tid]
-}
-
-// Trie is the built index together with the trajectories it covers
-// (the paper's RpTraj pairing of data and index). It is a stable
-// handle over an atomically swapped immutable state, so concurrent
-// readers are always snapshot-isolated from Insert/Delete/Compact.
-type Trie struct {
-	cfg  Config
-	mu   sync.Mutex // serializes writers (Insert/Delete/Upsert/Compact)
-	cur  atomic.Pointer[trieState]
-	pool scratchPool // recycled per-query search state
-}
-
-// state returns the current immutable snapshot.
-func (t *Trie) state() *trieState { return t.cur.Load() }
-
-// Build constructs an RP-Trie over ds. Trajectories must be non-empty
-// and have unique ids.
-func Build(cfg Config, ds []*geo.Trajectory) (*Trie, error) {
+// Build constructs an RP-Trie over ds in the pointer layout.
+// Trajectories must be non-empty and have unique ids.
+func Build(cfg Config, ds []*geo.Trajectory) (*Index, error) {
 	if cfg.Grid == nil {
 		return nil, errors.New("rptrie: nil grid")
 	}
@@ -123,27 +82,39 @@ func Build(cfg Config, ds []*geo.Trajectory) (*Trie, error) {
 	if !cfg.Measure.IsMetric() {
 		cfg.Pivots = nil
 	}
-	st, err := buildState(cfg, ds)
+	st, err := buildState(cfg, ds, LayoutPointer)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{cfg: cfg}
-	t.cur.Store(st)
-	return t, nil
+	return newIndex(cfg, st), nil
 }
 
-// buildState constructs one compacted generation from scratch — the
-// shared core of Build and Compact. cfg must already be normalized
-// (non-nil grid, pivots cleared for non-metric measures), which Build
-// guarantees before the trie's first state and Config immutability
-// guarantees for every later compaction.
-func buildState(cfg Config, ds []*geo.Trajectory) (*trieState, error) {
-	b := &stateBuilder{
-		cfg: cfg,
-		st: &trieState{
-			root:  &node{},
-			trajs: make(map[int32]*geo.Trajectory, len(ds)),
-		},
+// buildState constructs one compacted generation from scratch in
+// layout l — the shared core of Build, Compact and the image loaders.
+// The compressed core is encoded from the pointer trie. cfg must
+// already be normalized (non-nil grid, pivots cleared for non-metric
+// measures), which Build guarantees before the index's first state and
+// Config immutability guarantees for every later compaction.
+func buildState(cfg Config, ds []*geo.Trajectory, l Layout) (*state, error) {
+	pc, trajs, err := buildTrie(cfg, ds)
+	if err != nil {
+		return nil, err
+	}
+	st := &state{core: pc, trajs: trajs}
+	if l == LayoutCompressed {
+		if st.core, err = compressTSTCore(cfg, pc); err != nil {
+			return nil, err
+		}
+	}
+	return st, nil
+}
+
+// buildTrie builds the pointer trie over ds and the id map it indexes.
+func buildTrie(cfg Config, ds []*geo.Trajectory) (*ptrCore, map[int32]*geo.Trajectory, error) {
+	b := &trieBuilder{
+		cfg:   cfg,
+		c:     &ptrCore{root: &node{}},
+		trajs: make(map[int32]*geo.Trajectory, len(ds)),
 	}
 	type refEntry struct {
 		tid int32
@@ -152,16 +123,16 @@ func buildState(cfg Config, ds []*geo.Trajectory) (*trieState, error) {
 	entries := make([]refEntry, 0, len(ds))
 	for _, tr := range ds {
 		if len(tr.Points) == 0 {
-			return nil, fmt.Errorf("rptrie: trajectory %d is empty", tr.ID)
+			return nil, nil, fmt.Errorf("rptrie: trajectory %d is empty", tr.ID)
 		}
 		if !tr.ValidTimes() {
-			return nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
+			return nil, nil, fmt.Errorf("rptrie: trajectory %d has invalid timestamps", tr.ID)
 		}
 		tid := int32(tr.ID)
-		if _, dup := b.st.trajs[tid]; dup {
-			return nil, fmt.Errorf("rptrie: duplicate trajectory id %d", tr.ID)
+		if _, dup := b.trajs[tid]; dup {
+			return nil, nil, fmt.Errorf("rptrie: duplicate trajectory id %d", tr.ID)
 		}
-		b.st.trajs[tid] = tr
+		b.trajs[tid] = tr
 		zs := cfg.Grid.Reference(tr)
 		if cfg.Optimize {
 			zs = dedupZ(zs)
@@ -173,7 +144,7 @@ func buildState(cfg Config, ds []*geo.Trajectory) (*trieState, error) {
 		for i, e := range entries {
 			items[i] = hsItem{tid: e.tid, zs: e.zs}
 		}
-		b.buildOptimized(b.st.root, items)
+		b.buildOptimized(b.c.root, items)
 	} else {
 		// Insert in id order for determinism.
 		sort.Slice(entries, func(i, j int) bool { return entries[i].tid < entries[j].tid })
@@ -181,14 +152,15 @@ func buildState(cfg Config, ds []*geo.Trajectory) (*trieState, error) {
 			b.insert(e.tid, e.zs)
 		}
 	}
-	b.finalize(b.st.root, nil, 0)
-	return b.st, nil
+	b.finalize(b.c.root, nil, 0)
+	return b.c, b.trajs, nil
 }
 
-// stateBuilder accumulates one trieState during construction.
-type stateBuilder struct {
-	cfg Config
-	st  *trieState
+// trieBuilder accumulates one pointer trie during construction.
+type trieBuilder struct {
+	cfg   Config
+	c     *ptrCore
+	trajs map[int32]*geo.Trajectory
 }
 
 // dedupZ removes duplicate z-values (not just consecutive runs) while
@@ -207,20 +179,20 @@ func dedupZ(zs []uint64) []uint64 {
 }
 
 // insert adds one reference trajectory to the basic trie.
-func (b *stateBuilder) insert(tid int32, zs []uint64) {
-	cur := b.st.root
+func (b *trieBuilder) insert(tid int32, zs []uint64) {
+	cur := b.c.root
 	for _, z := range zs {
 		next := cur.child(z)
 		if next == nil {
 			next = &node{z: z}
 			cur.children = append(cur.children, next)
-			b.st.numNodes++
+			b.c.numNodes++
 		}
 		cur = next
 	}
 	if cur.leaf == nil {
 		cur.leaf = &leafData{}
-		b.st.numLeafs++
+		b.c.numLeafs++
 	}
 	cur.leaf.tids = append(cur.leaf.tids, tid)
 }
@@ -248,21 +220,21 @@ type hsItem struct {
 // Theorem 1 / Appendix B: at each level, repeatedly make the most
 // frequent remaining z-value a child and move every trajectory
 // containing it into that child's subtree.
-func (b *stateBuilder) buildOptimized(parent *node, items []hsItem) {
+func (b *trieBuilder) buildOptimized(parent *node, items []hsItem) {
 	for i := range items {
 		sort.Slice(items[i].zs, func(a, c int) bool { return items[i].zs[a] < items[i].zs[c] })
 	}
 	b.buildOptimizedSorted(parent, items)
 }
 
-func (b *stateBuilder) buildOptimizedSorted(parent *node, items []hsItem) {
+func (b *trieBuilder) buildOptimizedSorted(parent *node, items []hsItem) {
 	// Trajectories with no residual z-values terminate at parent.
 	rest := items[:0:0]
 	for _, it := range items {
 		if len(it.zs) == 0 {
 			if parent.leaf == nil {
 				parent.leaf = &leafData{}
-				b.st.numLeafs++
+				b.c.numLeafs++
 			}
 			parent.leaf.tids = append(parent.leaf.tids, it.tid)
 		} else {
@@ -288,7 +260,7 @@ func (b *stateBuilder) buildOptimizedSorted(parent *node, items []hsItem) {
 		}
 		child := &node{z: best}
 		parent.children = append(parent.children, child)
-		b.st.numNodes++
+		b.c.numNodes++
 
 		taken := items[:0:0]
 		remain := items[:0:0]
@@ -328,9 +300,9 @@ func removeZ(zs []uint64, z uint64) []uint64 {
 // finalize sorts children, computes leaf Dmax values, and aggregates
 // the subtree metadata (length ranges, depth, HR) bottom-up. path is
 // the z-value sequence from the root to n.
-func (b *stateBuilder) finalize(n *node, path []uint64, depth int) {
-	if depth > b.st.maxDepth {
-		b.st.maxDepth = depth
+func (b *trieBuilder) finalize(n *node, path []uint64, depth int) {
+	if depth > b.c.maxDepth {
+		b.c.maxDepth = depth
 	}
 	sort.Slice(n.children, func(i, j int) bool { return n.children[i].z < n.children[j].z })
 
@@ -348,7 +320,7 @@ func (b *stateBuilder) finalize(n *node, path []uint64, depth int) {
 		refPts := b.cfg.Grid.ReferencePoints(path)
 		n.leaf.minLen = int(^uint(0) >> 1)
 		for _, tid := range n.leaf.tids {
-			tr := b.st.trajs[tid]
+			tr := b.trajs[tid]
 			l := len(tr.Points)
 			if l < n.leaf.minLen {
 				n.leaf.minLen = l
@@ -397,33 +369,9 @@ func (b *stateBuilder) finalize(n *node, path []uint64, depth int) {
 	}
 }
 
-// NumNodes returns the number of trie nodes, excluding the root (the
-// count Fig. 7 reports). Pending inserts are not counted until the
-// next compaction folds them in.
-func (t *Trie) NumNodes() int { return t.state().numNodes }
-
-// NumLeaves returns the number of terminal nodes.
-func (t *Trie) NumLeaves() int { return t.state().numLeafs }
-
-// MaxDepth returns the deepest node's depth.
-func (t *Trie) MaxDepth() int { return t.state().maxDepth }
-
-// Len returns the number of live indexed trajectories, including
-// pending inserts and excluding pending deletes.
-func (t *Trie) Len() int { return t.state().live() }
-
-// Trajectory returns the live indexed trajectory with the given id, or
-// nil when the id is unknown or tombstoned.
-func (t *Trie) Trajectory(id int) *geo.Trajectory { return t.state().trajectory(int32(id)) }
-
-// Config returns the configuration the trie was built with.
-func (t *Trie) Config() Config { return t.cfg }
-
-// SizeBytes estimates the in-memory footprint of the index structure
-// (nodes, metadata, leaf payloads, pending delta), excluding the raw
-// trajectories.
-func (t *Trie) SizeBytes() int {
-	st := t.state()
+// sizeBytes estimates the trie's footprint (nodes, metadata, leaf
+// payloads), excluding the raw trajectories.
+func (c *ptrCore) sizeBytes() int {
 	var walk func(n *node) int
 	walk = func(n *node) int {
 		// label + slice headers + meta ints.
@@ -438,5 +386,5 @@ func (t *Trie) SizeBytes() int {
 		}
 		return sz
 	}
-	return walk(st.root) + st.delta.sizeBytes()
+	return walk(c.root)
 }

@@ -347,7 +347,7 @@ func TestGreedyHittingSetExample3(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rootKids []uint64
-	for _, c := range trie.state().root.children {
+	for _, c := range pointerCore(t, trie).root.children {
 		rootKids = append(rootKids, c.z)
 	}
 	sort.Slice(rootKids, func(i, j int) bool { return rootKids[i] < rootKids[j] })
@@ -421,8 +421,8 @@ func TestAccessors(t *testing.T) {
 	if trie.Trajectory(99) != nil {
 		t.Error("missing id should be nil")
 	}
-	if trie.NumNodes() <= 0 || trie.MaxDepth() <= 0 {
-		t.Errorf("NumNodes=%d MaxDepth=%d", trie.NumNodes(), trie.MaxDepth())
+	if depth := pointerCore(t, trie).maxDepth; trie.NumNodes() <= 0 || depth <= 0 {
+		t.Errorf("NumNodes=%d MaxDepth=%d", trie.NumNodes(), depth)
 	}
 	if trie.SizeBytes() <= 0 {
 		t.Error("SizeBytes should be positive")

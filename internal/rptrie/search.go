@@ -105,9 +105,9 @@ type SearchStats struct {
 }
 
 // searchNode abstracts trie navigation so the pointer and compressed
-// layouts share one best-first search implementation. The
-// methods are append/value shaped (no callbacks) so the hot loop
-// builds no closures.
+// layouts share one best-first search and one radius walk. The
+// methods are append/value shaped (no callbacks) so the hot loops
+// build no closures.
 type searchNode interface {
 	// appendChildren appends the node's children in ascending z
 	// order and returns the extended slice.
@@ -137,6 +137,10 @@ type leafView struct {
 
 // ptrNode adapts *node to searchNode.
 type ptrNode struct{ n *node }
+
+func (c *ptrCore) searchRoot(*searchScratch) searchNode { return ptrNode{c.root} }
+func (c *ptrCore) layout() Layout                       { return LayoutPointer }
+func (c *ptrCore) counts() (nodes, leaves int)          { return c.numNodes, c.numLeafs }
 
 func (p ptrNode) appendChildren(dst []childEdge) []childEdge {
 	for _, c := range p.n.children {
@@ -174,7 +178,7 @@ type searchScratch struct {
 	ds       dist.Scratch
 	res      topk.Heap
 	pq       entryQueue
-	children []childEdge
+	children []childEdge // expand's child list; the radius walk's edge stack
 	dqp      []float64
 	items    []topk.Item     // range-walk accumulator
 	wds      []*dist.Scratch // per-worker DP rows for parallel refinement
@@ -204,119 +208,11 @@ func (sp *scratchPool) get() *searchScratch {
 
 func (sp *scratchPool) put(sc *searchScratch) { sp.p.Put(sc) }
 
-// Search returns the top-k most similar trajectories to the query
-// point sequence q (Algorithm 2). Results order ascending by
-// (distance, id); fewer than k results are returned only when the
-// index holds fewer than k trajectories. Under tied distances any
-// valid top-k set may be returned.
-func (t *Trie) Search(q []geo.Point, k int) []topk.Item {
-	res, _ := t.SearchWithStats(q, k)
-	return res
-}
-
-// SearchAppend is Search appending the results to dst (which may be
-// nil) and returning the extended slice. With a dst of sufficient
-// capacity the whole query is allocation-free in steady state — the
-// form the benchmark suite and other tight callers use.
-func (t *Trie) SearchAppend(dst []topk.Item, q []geo.Point, k int) []topk.Item {
-	st := t.state()
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	out, _, _ := s.run(ptrNode{st.root}, q, k, dst)
-	return out
-}
-
-// SearchAppendContext is SearchAppend honoring per-query options and
-// a context — the allocation-measured form of SearchContext. With a
-// dst of sufficient capacity and the default (nil or whole-trajectory)
-// refiner the delta-empty query is allocation-free in steady state,
-// which CI asserts alongside the option-less path.
-func (t *Trie) SearchAppendContext(ctx context.Context, dst []topk.Item, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return dst, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	s.setOptions(ctx, opt)
-	out, stats, err := s.run(ptrNode{st.root}, q, k, dst)
-	if opt.Stats != nil {
-		*opt.Stats = stats
-	}
-	return out, err
-}
-
-// SearchWithStats is Search, also reporting traversal statistics.
-func (t *Trie) SearchWithStats(q []geo.Point, k int) ([]topk.Item, SearchStats) {
-	st := t.state()
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	res, stats, _ := s.run(ptrNode{st.root}, q, k, nil)
-	return res, stats
-}
-
-// SearchContext is Search honoring per-query options and a context:
-// the best-first loop polls ctx periodically and aborts with ctx's
-// error once it is cancelled or past its deadline, so a straggler
-// partition can be stopped mid-scan (Section V-B's concern).
-func (t *Trie) SearchContext(ctx context.Context, q []geo.Point, k int, opt SearchOptions) ([]topk.Item, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return nil, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	s.setOptions(ctx, opt)
-	res, stats, err := s.run(ptrNode{st.root}, q, k, nil)
-	if opt.Stats != nil {
-		*opt.Stats = stats
-	}
-	return res, err
-}
-
 // boundBudget caps the number of internal-node expansions a bound walk
 // performs before settling for the queue's current minimum. The walk
 // is a pruning aid, not an answer: a few dozen expansions already
 // separate a far partition from a contending one.
 const boundBudget = 64
-
-// BoundContext returns an admissible lower bound on the distance from
-// q to every trajectory held by the index: no indexed trajectory is
-// closer to q than the returned value. +Inf means the index is empty.
-// The bound is cheap — a best-first descent capped at boundBudget node
-// expansions, no exact distance computations — and deliberately loose;
-// its only promise is admissibility, which the driver's probe-budget
-// pruning relies on (a partition whose bound already exceeds the
-// current k-th distance cannot contribute to the final top-k).
-// Pending inserts sit outside the trie and admit no bound, so any
-// un-compacted delta collapses the bound to 0.
-func (t *Trie) BoundContext(ctx context.Context, q []geo.Point, opt SearchOptions) (float64, error) {
-	st := t.state()
-	if opt.MinGen > st.gen {
-		return 0, ErrStale
-	}
-	sc := t.pool.get()
-	defer t.pool.put(sc)
-	s := searcher{cfg: t.cfg, trajs: st.trajs, sc: sc}
-	s.setDelta(st.delta)
-	s.setOptions(ctx, opt)
-	return s.lowerBound(ptrNode{st.root}, q)
-}
-
-// LiveIDs returns the ids of every live trajectory, unordered; see
-// Durable.LiveIDs.
-func (t *Trie) LiveIDs() []int {
-	st := t.state()
-	return liveIDsOf(st.trajs, st.delta)
-}
 
 // lowerBound runs the capped best-first descent behind BoundContext. With
 // an empty result heap the threshold is +Inf, so expand prunes
@@ -393,17 +289,33 @@ type searcher struct {
 	bound *topk.Bound
 }
 
-// setOptions applies a query's per-call options and context. A nil
-// refiner keeps the built-in whole-trajectory refinement on the
-// allocation-free inline path; a subsequence refiner additionally
-// switches every traversal bound to the segment bound.
-func (s *searcher) setOptions(ctx context.Context, opt SearchOptions) {
-	s.ctxPoller = ctxPoller{ctx: ctx}
-	s.noPivots = opt.NoPivots
-	s.refineWorkers = opt.RefineWorkers
-	s.refiner = opt.Refiner
-	s.subseq = opt.Refiner != nil && opt.Refiner.Subsequence()
-	s.bound = opt.Shared
+// newSearcher sets up one query over state st with its per-call
+// options and context. A nil refiner keeps the built-in
+// whole-trajectory refinement on the allocation-free inline path; a
+// subsequence refiner additionally switches every traversal bound to
+// the segment bound. Empty delta components stay nil so the hot
+// loop's emptiness checks cost one pointer comparison.
+func newSearcher(ctx context.Context, cfg Config, st *state, sc *searchScratch, opt SearchOptions) searcher {
+	s := searcher{
+		ctxPoller:     ctxPoller{ctx: ctx},
+		cfg:           cfg,
+		trajs:         st.trajs,
+		sc:            sc,
+		noPivots:      opt.NoPivots,
+		refineWorkers: opt.RefineWorkers,
+		refiner:       opt.Refiner,
+		subseq:        opt.Refiner != nil && opt.Refiner.Subsequence(),
+		bound:         opt.Shared,
+	}
+	if d := st.delta; d != nil {
+		if len(d.adds) > 0 {
+			s.adds = d.adds
+		}
+		if len(d.dels) > 0 {
+			s.dels = d.dels
+		}
+	}
+	return s
 }
 
 // threshold is the scan's pruning threshold: its own k-th distance
@@ -435,20 +347,6 @@ func pushCandidate(results *topk.Heap, bound *topk.Bound, refined bool, it topk.
 	}
 	if kept {
 		bound.Offer(results)
-	}
-}
-
-// setDelta attaches a snapshot's overlay. Empty components stay nil so
-// the hot loop's emptiness checks cost one pointer comparison.
-func (s *searcher) setDelta(d *delta) {
-	if d == nil {
-		return
-	}
-	if len(d.adds) > 0 {
-		s.adds = d.adds
-	}
-	if len(d.dels) > 0 {
-		s.dels = d.dels
 	}
 }
 

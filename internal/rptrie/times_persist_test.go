@@ -147,7 +147,7 @@ func FuzzTimestampedImageDecode(f *testing.F) {
 			return
 		}
 		for _, id := range back.LiveIDs() {
-			if !back.(dynIndex).Trajectory(id).ValidTimes() {
+			if !back.Trajectory(id).ValidTimes() {
 				t.Fatal("decoder accepted invalid timestamps")
 			}
 		}

@@ -6,14 +6,11 @@ import (
 	"math"
 	mathbits "math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repose/internal/bits"
-	"repose/internal/geo"
 )
 
-// Compressed is the trit-array (tSTAT) layout after Kanda & Fujii
+// cmpCore is the trit-array (tSTAT) layout after Kanda & Fujii
 // ("Succinct Trit-array Trie for Scalable Trajectory Similarity
 // Search", arXiv 2005.10917): the whole trie is flattened into BFS
 // node order and every per-node attribute becomes one entry of a
@@ -50,44 +47,10 @@ import (
 // (rank1(lo,v)+rank1(hi,v)); member ids are one shared []int32 sliced
 // by packed offsets, and leaf Dmax is an up-rounded float32.
 //
-// Like Trie, a Compressed is a stable handle over an
-// atomically swapped immutable state: Insert/Delete/Upsert/Compact
-// ride the shared delta overlay (dynamic.go) with snapshot isolation,
-// and Compact rebuilds through the pointer layout and re-encodes.
-type Compressed struct {
-	cfg  Config
-	mu   sync.Mutex // serializes writers
-	cur  atomic.Pointer[cmpState]
-	pool scratchPool
-}
-
-// cmpState is one immutable generation of the compressed index.
-type cmpState struct {
-	gen   uint64
-	core  *cmpCore
-	trajs map[int32]*geo.Trajectory
-	delta *delta // pending mutations; nil once compacted
-}
-
-// live mirrors trieState.live for the compressed layout.
-func (st *cmpState) live() int {
-	n := len(st.trajs)
-	if st.delta != nil {
-		n += len(st.delta.adds) - len(st.delta.dels)
-	}
-	return n
-}
-
-// withDelta derives the next generation with nd as overlay.
-func (st *cmpState) withDelta(nd *delta) *cmpState {
-	ns := *st
-	ns.delta = nd
-	ns.gen = st.gen + 1
-	return &ns
-}
-
-// cmpCore is the compressed structural core shared by every
-// generation until a compaction replaces it.
+// The core is immutable and shared by every generation until a
+// compaction replaces it; mutations ride the shared delta overlay
+// (dynamic.go), and Compact rebuilds through the pointer layout and
+// re-encodes.
 type cmpCore struct {
 	alphabet packedInts // sorted distinct edge z-values, bit-packed
 	alphaN   int        // alphabet cardinality
@@ -111,7 +74,7 @@ type cmpCore struct {
 	leafDmax               []float32
 	leafMinLen, leafMaxLen packedInts
 
-	numNodes int // excluding the root, matching trieState.numNodes
+	numNodes int // excluding the root, matching ptrCore.numNodes
 	numLeafs int
 }
 
@@ -168,43 +131,39 @@ func (p packedInts) get(i int) uint64 {
 
 func (p packedInts) sizeBytes() int { return len(p.data)*8 + 32 }
 
-// CompressTST converts a built pointer trie into the trit-array
-// layout. The result answers queries identically to the source trie;
-// a pending delta is folded in first, so the compressed core always
-// starts fully compacted.
-func CompressTST(t *Trie) (*Compressed, error) {
+// CompressTST converts a built pointer-layout index into the
+// trit-array layout. The result answers queries identically to the
+// source; a pending delta is folded in first, so the compressed core
+// always starts fully compacted.
+func CompressTST(t *Index) (*Index, error) {
 	if t == nil {
 		return nil, errors.New("rptrie: nil trie")
 	}
-	st := t.state()
-	if !st.delta.empty() {
-		var err error
-		if st, err = compactedState(t.cfg, st); err != nil {
-			return nil, err
-		}
-	}
-	core, err := compressTSTCore(t.cfg, st)
+	st, err := compactedState(t.cfg, t.state())
 	if err != nil {
 		return nil, err
 	}
-	c := &Compressed{cfg: t.cfg}
-	c.cur.Store(&cmpState{gen: st.gen, core: core, trajs: st.trajs})
-	return c, nil
+	pc, ok := st.core.(*ptrCore)
+	if !ok {
+		return nil, fmt.Errorf("rptrie: CompressTST needs a pointer-layout index, not %v", st.core.layout())
+	}
+	core, err := compressTSTCore(t.cfg, pc)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(t.cfg, &state{gen: st.gen, core: core, trajs: st.trajs}), nil
 }
 
-// compressTSTCore encodes one compacted trieState as a tSTAT core.
-func compressTSTCore(cfg Config, st *trieState) (*cmpCore, error) {
-	if st == nil || st.root == nil {
-		return nil, errors.New("rptrie: nil trie")
-	}
+// compressTSTCore encodes a pointer trie as a tSTAT core.
+func compressTSTCore(cfg Config, pc *ptrCore) (*cmpCore, error) {
 	np := len(cfg.Pivots)
 	if !cfg.Measure.IsMetric() {
 		np = 0
 	}
 
 	// Flatten to BFS order; node ids are positions in this order.
-	order := make([]*node, 1, st.numNodes+1)
-	order[0] = st.root
+	order := make([]*node, 1, pc.numNodes+1)
+	order[0] = pc.root
 	for i := 0; i < len(order); i++ {
 		order = append(order, order[i].children...)
 	}
@@ -217,7 +176,7 @@ func compressTSTCore(cfg Config, st *trieState) (*cmpCore, error) {
 	}
 	core := &cmpCore{
 		np:       np,
-		numNodes: st.numNodes,
+		numNodes: pc.numNodes,
 	}
 	alphaVals := make([]uint64, 0, len(alpha))
 	for z := range alpha {
@@ -232,7 +191,7 @@ func compressTSTCore(cfg Config, st *trieState) (*cmpCore, error) {
 	if np > 0 {
 		core.hrLUT = make([]float64, np*hrBuckets)
 		for j := 0; j < np; j++ {
-			lo, hi := st.root.hr[j].Min, st.root.hr[j].Max
+			lo, hi := pc.root.hr[j].Min, pc.root.hr[j].Max
 			step := (hi - lo) / (hrBuckets - 1)
 			for b := 0; b < hrBuckets; b++ {
 				core.hrLUT[j*hrBuckets+b] = lo + float64(b)*step
@@ -294,8 +253,8 @@ func compressTSTCore(cfg Config, st *trieState) (*cmpCore, error) {
 	core.leafMinLen = packInts(leafMinLens)
 	core.leafMaxLen = packInts(leafMaxLens)
 	core.numLeafs = len(core.leafDmax)
-	if st.numLeafs != 0 && core.numLeafs != st.numLeafs {
-		return nil, fmt.Errorf("rptrie: leaf count mismatch (%d encoded, %d expected)", core.numLeafs, st.numLeafs)
+	if pc.numLeafs != 0 && core.numLeafs != pc.numLeafs {
+		return nil, fmt.Errorf("rptrie: leaf count mismatch (%d encoded, %d expected)", core.numLeafs, pc.numLeafs)
 	}
 	return core, nil
 }
@@ -359,125 +318,6 @@ func f32Up(v float64) float32 {
 		f = math.Nextafter32(f, float32(math.Inf(1)))
 	}
 	return f
-}
-
-// state returns the current immutable snapshot.
-func (x *Compressed) state() *cmpState { return x.cur.Load() }
-
-// Generation returns the snapshot's generation counter; see
-// Trie.Generation.
-func (x *Compressed) Generation() uint64 { return x.state().gen }
-
-// DeltaLen returns the number of pending (uncompacted) mutations.
-func (x *Compressed) DeltaLen() int { return x.state().delta.size() }
-
-// Layout reports LayoutCompressed.
-func (x *Compressed) Layout() Layout { return LayoutCompressed }
-
-func (x *Compressed) snapshot() any    { return x.cur.Load() }
-func (x *Compressed) restore(snap any) { x.cur.Store(snap.(*cmpState)) }
-
-// NumNodes returns the node count inherited from the source trie.
-func (x *Compressed) NumNodes() int { return x.state().core.numNodes }
-
-// NumLeaves returns the leaf count inherited from the source trie.
-func (x *Compressed) NumLeaves() int { return x.state().core.numLeafs }
-
-// Len returns the number of live indexed trajectories.
-func (x *Compressed) Len() int { return x.state().live() }
-
-// Config returns the build configuration inherited from the source
-// trie.
-func (x *Compressed) Config() Config { return x.cfg }
-
-// Trajectory returns the live indexed trajectory with the given id,
-// or nil when the id is unknown or tombstoned.
-func (x *Compressed) Trajectory(id int) *geo.Trajectory {
-	st := x.state()
-	if tr, hit := st.delta.get(int32(id)); hit {
-		return tr
-	}
-	return st.trajs[int32(id)]
-}
-
-// Insert adds trajectories as pending inserts; see Trie.Insert. The
-// staging logic is shared with the other layouts (dynamic.go).
-func (x *Compressed) Insert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, err := stageInsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Delete removes the given ids, returning how many were live; see
-// Trie.Delete.
-func (x *Compressed) Delete(ids ...int) int {
-	if len(ids) == 0 {
-		return 0
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, n := stageDelete(st.delta, st.trajs, ids)
-	if n == 0 {
-		return 0
-	}
-	x.cur.Store(st.withDelta(nd))
-	return n
-}
-
-// Upsert inserts trajectories, replacing live ids; see Trie.Upsert.
-func (x *Compressed) Upsert(trs ...*geo.Trajectory) error {
-	if len(trs) == 0 {
-		return nil
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	nd, err := stageUpsert(st.delta, st.trajs, trs)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(st.withDelta(nd))
-	return nil
-}
-
-// Compact folds the pending delta into a rebuilt, re-encoded core;
-// see Trie.Compact. The rebuild goes through the pointer layout, so
-// nothing about the trit-array encoding limits which mutations are
-// supported.
-func (x *Compressed) Compact() error {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.cur.Load()
-	if st.delta.empty() {
-		return nil
-	}
-	ts, err := buildState(x.cfg, st.delta.merged(st.trajs))
-	if err != nil {
-		return err
-	}
-	core, err := compressTSTCore(x.cfg, ts)
-	if err != nil {
-		return err
-	}
-	x.cur.Store(&cmpState{gen: st.gen + 1, core: core, trajs: ts.trajs})
-	return nil
-}
-
-// SizeBytes reports the in-memory footprint of the index structure,
-// excluding the raw trajectories.
-func (x *Compressed) SizeBytes() int {
-	st := x.state()
-	return st.core.sizeBytes() + st.delta.sizeBytes()
 }
 
 func (c *cmpCore) sizeBytes() int {

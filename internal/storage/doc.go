@@ -2,10 +2,11 @@
 // partition's RP-Trie: a disk manager over fixed-size pages, a
 // buffer-pool manager with pinned frames and LRU-K eviction, and a
 // write-ahead log with sequenced CRC-framed records, group commit,
-// and a replay iterator. rptrie.OpenDurable layers the trie's
-// epoch/generation scheme on top (see rptrie/durable.go); this
-// package knows nothing about trajectories — it stores checkpoint
-// images and replays opaque log records.
+// and a replay iterator. A durable rptrie.Index (BuildDurable,
+// WrapDurable, OpenDurable) holds one Store as its write-ahead log and
+// layers the trie's epoch/generation scheme on top (see
+// rptrie/durable.go); this package knows nothing about trajectories —
+// it stores checkpoint images and replays opaque log records.
 //
 // # On-disk layout
 //

@@ -622,7 +622,7 @@ func (x *Index) SearchRadius(ctx context.Context, q *Trajectory, radius float64,
 	if err := x.check(points(q)); err != nil {
 		return nil, err
 	}
-	if radius < 0 {
+	if !(radius >= 0) { // also rejects NaN
 		return nil, ErrBadRadius
 	}
 	qc := applyQueryOptions(opts)

@@ -109,6 +109,9 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := idx.SearchRadius(ctx, ds[0], -1); !errors.Is(err, ErrBadRadius) {
 		t.Errorf("negative radius: %v", err)
 	}
+	if _, err := idx.SearchRadius(ctx, ds[0], math.NaN()); !errors.Is(err, ErrBadRadius) {
+		t.Errorf("NaN radius: %v", err)
+	}
 	if _, err := idx.SearchBatch(ctx, []*Trajectory{ds[0], nil}, 3); !errors.Is(err, ErrEmptyQuery) {
 		t.Errorf("nil batch query: %v", err)
 	}
